@@ -5,14 +5,10 @@ from .boundaries import (
     BoundaryPolicy,
     EndMode,
     MissingHistoryError,
-    Side,
     VertexMode,
-    apply_end_tbc,
-    apply_vertex,
-    apply_vertex_tbc,
     vertex_tbc_factor,
 )
-from .config import ConfigError, ExperimentConfig, SweepSpec, load_config
+from .config import ConfigError, load_config
 from .diagnostics import (
     DiagnosticsRecord,
     boundary_form,
@@ -25,12 +21,10 @@ from .diagnostics import (
     transmitted_fractions,
 )
 from .experiments import run_experiment, sweep_alpha1
-from .graph import Bond, Orientation, StarGraph, build_star_graph, sum_rule_residual
+from .graph import Orientation, build_star_graph, sum_rule_residual
 from .solver import (
     InstabilityError,
-    RunResult,
     SimParams,
-    Snapshot,
     SpinorField,
     build_initial_field,
     gaussian_spinor,
@@ -42,26 +36,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BesselKernel",
-    "Bond",
     "BoundaryPolicy",
     "ConfigError",
     "DiagnosticsRecord",
     "EndMode",
-    "ExperimentConfig",
     "InstabilityError",
     "MissingHistoryError",
     "Orientation",
-    "RunResult",
-    "Side",
     "SimParams",
-    "Snapshot",
     "SpinorField",
-    "StarGraph",
-    "SweepSpec",
     "VertexMode",
-    "apply_end_tbc",
-    "apply_vertex",
-    "apply_vertex_tbc",
     "bessel_i0",
     "bessel_i1",
     "boundary_form",

@@ -134,6 +134,3 @@ class BesselKernel:
         i0 = np.array([bessel_i0(v) for v in z])
         i1 = np.array([bessel_i1(v) for v in z])
         return cls(mass, dt, i0, i1)
-
-    def __len__(self) -> int:
-        return len(self.samples)

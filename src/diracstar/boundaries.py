@@ -24,7 +24,9 @@ left end carries the same relation with an overall minus sign, the vertex
 relation the factor A.  The running integral is evaluated by trapezoidal
 quadrature over the stored boundary history; the newest history entry
 appears inside its own convolution through the trapezoid endpoint, which
-keeps the boundary one-step implicit.
+keeps the boundary one-step implicit.  ``_history_convolution`` and
+``_endpoint_coefficient`` are the one evaluator of this relation for all
+three boundaries; the stepper applies the sign and the factor A.
 """
 from __future__ import annotations
 
@@ -39,13 +41,9 @@ from .graph import StarGraph
 __all__ = [
     "VertexMode",
     "EndMode",
-    "Side",
     "BoundaryPolicy",
     "MissingHistoryError",
     "vertex_tbc_factor",
-    "apply_end_tbc",
-    "apply_vertex",
-    "apply_vertex_tbc",
 ]
 
 
@@ -58,11 +56,6 @@ class VertexMode(enum.Enum):
 class EndMode(enum.Enum):
     DIRICHLET = "dirichlet"
     TRANSPARENT = "transparent"
-
-
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 class MissingHistoryError(ValueError):
@@ -107,94 +100,6 @@ def _endpoint_coefficient(kernel: BesselKernel, level: int) -> complex:
     if level == 0:
         return 1.0 + 0.0j
     return 1.0 + 0.5 * kernel.dt * kernel.conv_weights[0]
-
-
-def _boundary_value(
-    history: Sequence[complex],
-    kernel: BesselKernel,
-    level: int,
-    sign: float,
-    factor: float,
-) -> complex:
-    if len(history) < level + 1:
-        raise MissingHistoryError(
-            f"history covers levels 0..{len(history) - 1}, level {level} requested"
-        )
-    tail = _history_convolution(history, kernel, level)
-    value = _endpoint_coefficient(kernel, level) * history[level] + tail
-    return sign * (factor * value)
-
-
-def apply_end_tbc(
-    side: Side,
-    history: Sequence[complex],
-    kernel: BesselKernel,
-    t: int,
-) -> complex:
-    """Transparent-end value of chi at time level ``t``.
-
-    ``history`` must hold the boundary phi values at integer levels 0..t.
-    A right end returns the convolution value, a left end its negative.
-    At m = 0 the kernel weights vanish and the result is exactly +/- phi(t).
-    """
-    sign = 1.0 if side is Side.RIGHT else -1.0
-    return _boundary_value(history, kernel, t, sign, 1.0)
-
-
-def apply_vertex_tbc(
-    history: Sequence[complex],
-    kernel: BesselKernel,
-    factor: float,
-) -> complex:
-    """Transparent-vertex value of chi1(0) for an interior (bond-1) run.
-
-    ``factor`` is the weight combination from :func:`vertex_tbc_factor`.
-    With factor 1 the result is bit-identical to
-    ``apply_end_tbc(Side.RIGHT, ...)`` on the same history.
-    """
-    if factor <= 0:
-        raise ValueError(f"vertex factor must be positive, got {factor}")
-    return _boundary_value(history, kernel, len(history) - 1, 1.0, factor)
-
-
-def apply_vertex(
-    mode: VertexMode,
-    phi_values: Sequence[complex],
-    chi_values: Sequence[complex],
-    alphas: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project per-bond vertex values onto the vertex conditions.
-
-    ``phi_values`` and ``chi_values`` are the field components at the vertex,
-    incoming bond first.  Returns corrected values satisfying the weighted
-    continuity chain and the weighted flux balance exactly: phi is replaced
-    by its least-squares projection onto the continuity chain, the incoming
-    chi is kept and the outgoing chi are set from it with the weighted-flux
-    terms distributed proportionally to a1/aj^2.
-
-    Raises ValueError for TRANSPARENT mode (that vertex condition lives on a
-    single-bond interior domain, see :func:`apply_vertex_tbc`).
-    """
-    if mode is VertexMode.TRANSPARENT:
-        raise ValueError(
-            "transparent vertex mode has no multi-bond vertex values to "
-            "correct; it applies to a bond-1-only domain"
-        )
-    n = len(phi_values)
-    if n < 2 or len(chi_values) != n or len(alphas) != n:
-        raise ValueError("need matching phi, chi and alpha values for N >= 2 bonds")
-    a = np.ones(n) if mode is VertexMode.KIRCHHOFF else np.asarray(alphas, float)
-
-    w_all = np.sum(1.0 / a ** 2)
-    shared = np.sum(np.asarray(phi_values, complex) / a) / w_all
-    phi_fixed = shared / a
-
-    w_out = np.sum(1.0 / a[1:] ** 2)
-    flux_in = chi_values[0] / a[0]
-    chi_fixed = np.empty(n, dtype=complex)
-    chi_fixed[0] = chi_values[0]
-    chi_fixed[1:] = flux_in / (w_out * a[1:])
-    return phi_fixed, chi_fixed
 
 
 class BoundaryPolicy:

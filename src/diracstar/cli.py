@@ -6,7 +6,7 @@
     diracstar check-sumrule --config FILE
 
 Exit codes: 0 success, 2 validation error, 3 numerical instability, 4 I/O
-error.  Sweep concurrency is controlled by DIRACSTAR_SWEEP_THREADS.
+error.
 """
 from __future__ import annotations
 

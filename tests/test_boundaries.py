@@ -7,17 +7,21 @@ from diracstar import (
     BoundaryPolicy,
     EndMode,
     MissingHistoryError,
-    Side,
+    SimParams,
     VertexMode,
-    apply_end_tbc,
-    apply_vertex,
-    apply_vertex_tbc,
+    build_initial_field,
     build_star_graph,
+    step,
     sum_rule_residual,
     vertex_tbc_factor,
 )
+from diracstar.boundaries import _endpoint_coefficient, _history_convolution
+from diracstar.solver import _solve_tbc_node
 
 from .conftest import CANONICAL_ALPHAS
+
+MASSLESS = SimParams(mass=0.0, dt=0.01, dx=0.0125, n_steps=64)
+MASSIVE = SimParams(mass=0.3, dt=0.01, dx=0.0125, n_steps=64)
 
 
 @pytest.fixture
@@ -34,49 +38,65 @@ def random_history(rng, n):
     return list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+def assert_local_relation(kernel, sign, factor, seed):
+    """At m = 0 every transparent node obeys chi = sign * factor * phi.
+
+    The node update of that local relation is
+    p = ((1 - lam A) q + sign 2 lam chi_adj) / (1 + lam A), up to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    lam = MASSLESS.courant
+    history: list[complex] = []
+    for level in range(20):
+        assert _endpoint_coefficient(kernel, level) == 1
+        assert _history_convolution(history, kernel, level) == 0
+        q, chi_adj = (complex(v) for v in random_history(rng, 2))
+        p = _solve_tbc_node(
+            q, chi_adj, history, kernel, level, MASSLESS,
+            right_end=sign > 0, factor=factor,
+        )
+        expected = ((1 - lam * factor) * q + sign * 2 * lam * chi_adj) / (
+            1 + lam * factor
+        )
+        assert p == pytest.approx(expected, rel=1e-14, abs=0)
+        assert history[-1] == 0.5 * (p + q)
+
+
 def test_massless_right_end_is_identity(kernel_massless):
-    rng = np.random.default_rng(7)
-    h = random_history(rng, 20)
-    for t in range(20):
-        assert apply_end_tbc(Side.RIGHT, h, kernel_massless, t) == h[t]
+    assert_local_relation(kernel_massless, 1.0, 1.0, seed=7)
 
 
 def test_massless_left_end_is_negation(kernel_massless):
-    rng = np.random.default_rng(8)
-    h = random_history(rng, 20)
-    for t in range(20):
-        assert apply_end_tbc(Side.LEFT, h, kernel_massless, t) == -h[t]
+    assert_local_relation(kernel_massless, -1.0, 1.0, seed=8)
 
 
 def test_massless_vertex_scales_by_factor(kernel_massless):
-    rng = np.random.default_rng(9)
-    h = random_history(rng, 12)
     for a in (0.5, 1.0, 2.5):
-        assert apply_vertex_tbc(h, kernel_massless, a) == a * h[-1]
+        assert_local_relation(kernel_massless, 1.0, a, seed=9)
 
 
 def test_zero_history_gives_zero(kernel_massive):
     h = [0.0 + 0.0j] * 16
     for t in range(16):
-        assert apply_end_tbc(Side.RIGHT, h, kernel_massive, t) == 0.0
-
-
-def test_vertex_tbc_unit_factor_bit_identical_to_right_end(kernel_massive):
-    rng = np.random.default_rng(10)
-    h = random_history(rng, 30)
-    for t in range(1, 30):
-        left = apply_vertex_tbc(h[: t + 1], kernel_massive, 1.0)
-        right = apply_end_tbc(Side.RIGHT, h[: t + 1], kernel_massive, t)
-        assert left == right
+        assert _history_convolution(h, kernel_massive, t) == 0.0
 
 
 def test_left_end_is_minus_right_end(kernel_massive):
+    # chi = -R[phi] at a left end: mirroring the adjacent chi gives the
+    # right end's node value and history, bit-exactly
     rng = np.random.default_rng(11)
-    h = random_history(rng, 30)
-    for t in range(30):
-        assert apply_end_tbc(Side.LEFT, h, kernel_massive, t) == -apply_end_tbc(
-            Side.RIGHT, h, kernel_massive, t
+    h_left: list[complex] = []
+    h_right: list[complex] = []
+    for level in range(30):
+        q, chi_adj = (complex(v) for v in random_history(rng, 2))
+        left = _solve_tbc_node(
+            q, chi_adj, h_left, kernel_massive, level, MASSIVE, right_end=False
         )
+        right = _solve_tbc_node(
+            q, -chi_adj, h_right, kernel_massive, level, MASSIVE, right_end=True
+        )
+        assert left == right
+    assert h_left == h_right
 
 
 def test_history_linearity(kernel_massive):
@@ -86,18 +106,26 @@ def test_history_linearity(kernel_massive):
     a, b = 0.7 - 0.2j, -1.3 + 0.8j
     combined = list(a * h1 + b * h2)
     for t in (0, 1, 10, 24):
-        lhs = apply_end_tbc(Side.RIGHT, combined, kernel_massive, t)
-        rhs = a * apply_end_tbc(Side.RIGHT, list(h1), kernel_massive, t) + \
-            b * apply_end_tbc(Side.RIGHT, list(h2), kernel_massive, t)
+        lhs = _history_convolution(combined, kernel_massive, t)
+        rhs = a * _history_convolution(list(h1), kernel_massive, t) + \
+            b * _history_convolution(list(h2), kernel_massive, t)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_missing_history_signalled(kernel_massive):
+def test_missing_history_signalled():
+    # the kernel covers levels 0..2: the fourth step needs level 3
+    line = build_star_graph([(1.0, 2.0, 0.05), (1.0, 2.0, 0.05)])
+    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=10)
+    policy = BoundaryPolicy(
+        VertexMode.KIRCHHOFF,
+        (EndMode.TRANSPARENT,) * 2,
+        BesselKernel.build(0.3, 0.04, 2),
+    )
+    field = build_initial_field(line, params, policy, x0=-1.0, sigma=0.2)
+    for _ in range(3):
+        field = step(field, line, params, policy)
     with pytest.raises(MissingHistoryError):
-        apply_end_tbc(Side.RIGHT, [1.0 + 0j], kernel_massive, 3)
-    short_kernel = BesselKernel.build(0.3, 0.01, 2)
-    with pytest.raises(MissingHistoryError):
-        apply_end_tbc(Side.RIGHT, [1.0 + 0j] * 10, short_kernel, 8)
+        step(field, line, params, policy)
 
 
 def test_vertex_factor_values():
@@ -119,58 +147,48 @@ def test_factor_one_iff_zero_residual(a1, a2, a3):
     assert factor - 1.0 == pytest.approx(-(a1**2) * residual, rel=1e-9, abs=1e-12)
 
 
-def test_apply_vertex_weighted_distribution():
-    # incoming value p splits as phi_j(0) = (a1/aj) p over the outgoing bonds
-    p = 0.37 - 0.11j
-    phi, chi = apply_vertex(
-        VertexMode.WEIGHTED,
-        [p, 0.0, 0.0],
-        [0.2 + 0.1j, 0.0, 0.0],
-        CANONICAL_ALPHAS,
-    )
-    assert phi[0] == pytest.approx(p / 2, rel=1e-12)  # projection halves it
-    assert phi[1] / phi[0] == pytest.approx(CANONICAL_ALPHAS[0], rel=1e-12)
-    assert phi[2] / phi[0] == pytest.approx(
-        CANONICAL_ALPHAS[0] / CANONICAL_ALPHAS[2], rel=1e-12
-    )
-    # consistent inputs are left unchanged and split by sqrt(2/3), sqrt(1/3)
-    consistent = [p, CANONICAL_ALPHAS[0] * p, CANONICAL_ALPHAS[0] / CANONICAL_ALPHAS[2] * p]
-    phi, _ = apply_vertex(
-        VertexMode.WEIGHTED, consistent, [0.0, 0.0, 0.0], CANONICAL_ALPHAS
-    )
-    assert phi[0] == pytest.approx(p, rel=1e-12)
-    assert phi[1] == pytest.approx(np.sqrt(2.0 / 3.0) * p, rel=1e-12)
-    assert phi[2] == pytest.approx(np.sqrt(1.0 / 3.0) * p, rel=1e-12)
+def vertex_values(field):
+    """phi_j(0) of every bond: bond 1 ends at the vertex, the others start there."""
+    return np.array([field.phi[0][-1]] + [p[0] for p in field.phi[1:]])
 
 
-def test_apply_vertex_enforces_conditions_exactly():
-    rng = np.random.default_rng(13)
+def test_step_keeps_weighted_continuity_chain():
+    # canonical weights: phi_2(0), phi_3(0) = (a1/aj) phi_1(0) splits the
+    # shared value by sqrt(2/3) and sqrt(1/3)
+    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=50)
     for alphas in (CANONICAL_ALPHAS, (0.7, 1.3, 2.1, 0.9)):
-        n = len(alphas)
-        phi_in = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        chi_in = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        phi, chi = apply_vertex(VertexMode.WEIGHTED, phi_in, chi_in, alphas)
-        chain = [alphas[j] * phi[j] for j in range(n)]
-        assert all(abs(c - chain[0]) < 1e-12 for c in chain[1:])
-        balance = chi[0] / alphas[0] - sum(chi[j] / alphas[j] for j in range(1, n))
-        assert abs(balance) < 1e-12
+        graph = build_star_graph([(a, 2.0, 0.05) for a in alphas])
+        policy = BoundaryPolicy(
+            VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * len(alphas)
+        )
+        field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+        peak = 0.0
+        for _ in range(50):
+            field = step(field, graph, params, policy)
+            chain = np.asarray(alphas) * vertex_values(field)
+            assert np.all(np.abs(chain - chain[0]) <= 1e-12)
+            peak = max(peak, abs(chain[0]))
+        assert peak > 0.1  # the packet reached the vertex
 
 
-def test_apply_vertex_kirchhoff_ignores_weights():
-    phi_in = [1.0 + 0j, -0.5 + 0.25j]
-    chi_in = [0.5 + 0j, 0.1 + 0j]
-    phi_w, chi_w = apply_vertex(VertexMode.KIRCHHOFF, phi_in, chi_in, (3.0, 5.0))
-    phi_u, chi_u = apply_vertex(VertexMode.WEIGHTED, phi_in, chi_in, (1.0, 1.0))
-    assert np.allclose(phi_w, phi_u)
-    assert np.allclose(chi_w, chi_u)
-    # N=2 unit weights: continuity of phi, continuity of chi
-    assert phi_w[0] == phi_w[1] == pytest.approx(0.25 + 0.125j)
-    assert chi_w[0] == chi_w[1]
+def test_step_kirchhoff_vertex_ignores_weights():
+    # Kirchhoff mode steps as the weighted vertex with unit weights would
+    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=50)
 
+    def evolve(alphas, mode):
+        graph = build_star_graph([(a, 2.0, 0.05) for a in alphas])
+        policy = BoundaryPolicy(mode, (EndMode.DIRICHLET,) * 2)
+        field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+        for _ in range(50):
+            field = step(field, graph, params, policy)
+        return field
 
-def test_apply_vertex_rejects_transparent_mode():
-    with pytest.raises(ValueError, match="bond-1-only"):
-        apply_vertex(VertexMode.TRANSPARENT, [1.0, 1.0], [0.0, 0.0], (1.0, 1.0))
+    kirchhoff = evolve((3.0, 5.0), VertexMode.KIRCHHOFF)
+    unit = evolve((1.0, 1.0), VertexMode.WEIGHTED)
+    for a, b in zip(kirchhoff.phi + kirchhoff.chi, unit.phi + unit.chi):
+        assert np.array_equal(a, b)
+    phi_vertex = vertex_values(kirchhoff)
+    assert phi_vertex[0] == phi_vertex[1]
 
 
 def test_policy_validation():
@@ -180,6 +198,17 @@ def test_policy_validation():
     policy = BoundaryPolicy(VertexMode.KIRCHHOFF, (EndMode.DIRICHLET,))
     with pytest.raises(ValueError, match="end modes"):
         policy.validate_for(graph)
+
+
+def test_initial_field_checks_end_mode_count():
+    graph = build_star_graph([(a, 2.0, 0.05) for a in CANONICAL_ALPHAS])
+    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=10)
+    for n_modes in (2, 5):
+        policy = BoundaryPolicy(
+            VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * n_modes
+        )
+        with pytest.raises(ValueError, match="end modes"):
+            build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
 
 
 def test_policy_level_check():

@@ -120,6 +120,13 @@ def test_snapshot_time_out_of_range(tmp_path):
         load_config(write_config(tmp_path, bad))
 
 
+def test_snapshot_times_on_one_step_rejected(tmp_path):
+    # at dt = 0.05 both times round to step 10; one snapshot would be lost
+    bad = MINIMAL + "\n[sampling]\nsnapshot_times = 0.5 0.51\n"
+    with pytest.raises(ConfigError, match=r"0\.5 and 0\.51 both fall on step 10"):
+        load_config(write_config(tmp_path, bad))
+
+
 def test_x0_outside_bond_rejected(tmp_path):
     bad = MINIMAL.replace("x0 = -5.0", "x0 = 5.0")
     with pytest.raises(ConfigError, match="x0"):

@@ -53,6 +53,13 @@ def test_run_experiment_artifacts(fast_config, tmp_path):
     assert snap_header == "x,re_phi,im_phi,re_chi,im_chi,density"
 
 
+def test_snapshot_labelled_with_sampled_time(fast_config, tmp_path):
+    # 2.01 falls on step 50 of dt = 0.04, which samples t = 2
+    run_experiment(replace(fast_config, snapshot_times=(2.01,)), tmp_path)
+    snaps = sorted(p.name for p in tmp_path.glob("snapshot_*.csv"))
+    assert snaps == [f"snapshot_bond{j}_t2.csv" for j in (1, 2, 3)]
+
+
 def test_canonical_run_transmits_packet(canonical_config, tmp_path):
     summary = run_experiment(canonical_config, tmp_path)
     # packet has left bond 1 and shows up on bonds 2 and 3
@@ -152,16 +159,6 @@ def test_sweep_matches_single_runs(fast_config, tmp_path):
     for alpha1, r_sweep in rows:
         result = run(fast_config.with_alpha1(alpha1))
         assert result.records[-1].reflection == r_sweep
-
-
-def test_sweep_threads_give_identical_results(fast_config, tmp_path, monkeypatch):
-    monkeypatch.setenv("DIRACSTAR_SWEEP_THREADS", "4")
-    sweep_alpha1(fast_config, 0.5, 1.2, 4, tmp_path / "mt")
-    monkeypatch.setenv("DIRACSTAR_SWEEP_THREADS", "1")
-    sweep_alpha1(fast_config, 0.5, 1.2, 4, tmp_path / "st")
-    assert (tmp_path / "mt" / "sweep.csv").read_bytes() == (
-        tmp_path / "st" / "sweep.csv"
-    ).read_bytes()
 
 
 def test_sweep_records_failures(fast_config, tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from diracstar import Orientation, StarGraph, build_star_graph, sum_rule_residual
+from diracstar import Orientation, build_star_graph, sum_rule_residual
 
 from .conftest import CANONICAL_ALPHAS
 
@@ -98,5 +98,8 @@ def test_zero_residual_predicate_invariant_under_rescaling(a2, a3, scale):
 
 def test_serialization_roundtrip():
     g = build_star_graph([(a, 20.0, 0.0125) for a in CANONICAL_ALPHAS])
-    restored = StarGraph.from_dict(json.loads(json.dumps(g.to_dict())))
+    data = json.loads(json.dumps(g.to_dict()))
+    restored = build_star_graph(
+        [(b["alpha"], b["length"], data["dx"]) for b in data["bonds"]]
+    )
     assert restored == g
