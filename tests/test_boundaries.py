@@ -16,7 +16,7 @@ from diracstar import (
     vertex_tbc_factor,
 )
 from diracstar.boundaries import _endpoint_coefficient, _history_convolution
-from diracstar.solver import _solve_tbc_node
+from diracstar.solver import _solve_tbc_node, _vertex_shared_value
 
 from .conftest import CANONICAL_ALPHAS
 
@@ -152,9 +152,9 @@ def vertex_values(field):
     return np.array([field.phi[0][-1]] + [p[0] for p in field.phi[1:]])
 
 
-def test_step_keeps_weighted_continuity_chain():
-    # canonical weights: phi_2(0), phi_3(0) = (a1/aj) phi_1(0) splits the
-    # shared value by sqrt(2/3) and sqrt(1/3)
+def test_apply_vertex_enforces_conditions_exactly():
+    # the stepper applies the weighted vertex conditions after every step:
+    # a_j phi_j(0) is one shared value on every bond
     params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=50)
     for alphas in (CANONICAL_ALPHAS, (0.7, 1.3, 2.1, 0.9)):
         graph = build_star_graph([(a, 2.0, 0.05) for a in alphas])
@@ -169,6 +169,30 @@ def test_step_keeps_weighted_continuity_chain():
             assert np.all(np.abs(chain - chain[0]) <= 1e-12)
             peak = max(peak, abs(chain[0]))
         assert peak > 0.1  # the packet reached the vertex
+
+
+def test_apply_vertex_weighted_distribution():
+    # incoming value p splits as phi_j(0) = (a1/aj) p over the outgoing bonds
+    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=50)
+    graph = build_star_graph([(a, 2.0, 0.05) for a in CANONICAL_ALPHAS])
+    policy = BoundaryPolicy(VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * 3)
+    field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+    for arr in field.phi + field.chi:
+        arr[:] = 0.0
+    p = 0.37 - 0.11j
+    field.phi[0][-1] = p
+    alphas = np.asarray(CANONICAL_ALPHAS)
+    shared = _vertex_shared_value(field, alphas)
+    assert shared / alphas[0] == pytest.approx(p / 2, rel=1e-12)  # projection halves it
+    # with no flux the shared value only turns by the mass phase, and the
+    # new vertex values split by sqrt(2/3), sqrt(1/3)
+    field = step(field, graph, params, policy)
+    phi = vertex_values(field)
+    cp = 1.0 + 0.5j * params.mass * params.dt
+    cm = 1.0 - 0.5j * params.mass * params.dt
+    assert phi[0] == pytest.approx(cm / cp * p / 2, rel=1e-12)
+    assert phi[1] / phi[0] == pytest.approx(np.sqrt(2 / 3), rel=1e-12)
+    assert phi[2] / phi[0] == pytest.approx(np.sqrt(1 / 3), rel=1e-12)
 
 
 def test_step_kirchhoff_vertex_ignores_weights():
