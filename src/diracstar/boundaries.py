@@ -73,6 +73,32 @@ def vertex_tbc_factor(alphas: Sequence[float]) -> float:
     return a[0] ** 2 * sum(1.0 / v ** 2 for v in a[1:])
 
 
+class _History:
+    """Boundary values in a complex numpy array that doubles when full.
+
+    Indexing sees the filled part only; a slice is a view, so the
+    convolution reads the history without copying it.
+    """
+
+    _CAPACITY = 64
+
+    def __init__(self) -> None:
+        self._data = np.empty(self._CAPACITY, dtype=complex)
+        self._size = 0
+
+    def append(self, value: complex) -> None:
+        if self._size == len(self._data):
+            self._data = np.concatenate((self._data, np.empty_like(self._data)))
+        self._data[self._size] = value
+        self._size += 1
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        return self._data[: self._size][index]
+
+
 def _history_convolution(
     past: Sequence[complex], kernel: BesselKernel, level: int
 ) -> complex:
@@ -105,10 +131,10 @@ def _endpoint_coefficient(kernel: BesselKernel, level: int) -> complex:
 class BoundaryPolicy:
     """Vertex/end condition selection plus the convolution state of one run.
 
-    The history buffers record the boundary phi values at integer time
-    levels; each buffer's length equals the owning field's time level.  A
-    policy instance is owned by exactly one simulation and must not be
-    shared or reused across runs.
+    The histories record the boundary phi values at integer time levels,
+    one numpy-backed buffer per boundary key; each buffer's length equals
+    the owning field's time level.  A policy instance is owned by exactly
+    one simulation and must not be shared or reused across runs.
     """
 
     def __init__(
@@ -122,7 +148,7 @@ class BoundaryPolicy:
         self.end_modes = tuple(end_modes)
         self.kernel = kernel
         self.vertex_factor = float(vertex_factor)
-        self.histories: dict[str, list[complex]] = {}
+        self.histories: dict[str, _History] = {}
         if self.requires_kernel and kernel is None:
             raise ValueError("transparent boundary conditions need a BesselKernel")
 
@@ -139,8 +165,10 @@ class BoundaryPolicy:
                 f"{graph.n_bonds} bonds"
             )
 
-    def history(self, key: str) -> list[complex]:
-        return self.histories.setdefault(key, [])
+    def history(self, key: str) -> _History:
+        if key not in self.histories:
+            self.histories[key] = _History()
+        return self.histories[key]
 
     def check_level(self, time_level: int) -> None:
         for key, h in self.histories.items():

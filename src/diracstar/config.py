@@ -74,7 +74,7 @@ class ExperimentConfig:
         if len(ends) != n:
             raise ConfigError("one end_mode per bond required")
         try:
-            self.build_graph()
+            graph = self.build_graph()
         except ValueError as exc:
             raise ConfigError(f"[graph/bond] {exc}") from None
         try:
@@ -96,6 +96,11 @@ class ExperimentConfig:
                     f"[bond {j}] end_mode must be dirichlet or transparent, "
                     f"got {mode!r}"
                 ) from None
+            if j > 1 and mode == "transparent" and self.vertex_mode == "transparent":
+                raise ConfigError(
+                    f"[bond {j}] end_mode = transparent has no effect: a "
+                    "transparent vertex simulates bond 1 only"
+                )
         if not 1 <= self.source_bond <= n:
             raise ConfigError(
                 f"[initial] bond must be in 1..{n}, got {self.source_bond}"
@@ -106,7 +111,7 @@ class ExperimentConfig:
             )
         if self.sigma <= 0:
             raise ConfigError(f"[initial] sigma must be positive, got {self.sigma}")
-        bond = self.build_graph().bonds[self.source_bond - 1]
+        bond = graph.bonds[self.source_bond - 1]
         if not bond.contains(self.x0):
             raise ConfigError(
                 f"[initial] x0 = {self.x0} lies outside bond {self.source_bond}"

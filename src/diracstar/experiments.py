@@ -30,6 +30,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _time_label(t: float) -> str:
+    """Six-digit ``:g`` form of a snapshot time, or repr if that loses it."""
+    short = f"{t:g}"
+    return short if float(short) == t else repr(t)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -103,8 +109,8 @@ def run_experiment(
         _write_csv(ts_path, header, rows)
 
         for snap in result.snapshots:
-            name = f"snapshot_bond{snap.bond_index}_t{snap.time:g}.csv"
-            path = out / name
+            label = _time_label(snap.time)
+            path = out / f"snapshot_bond{snap.bond_index}_t{label}.csv"
             created.append(path)
             rows = [
                 [x, p.real, p.imag, c.real, c.imag, d]

@@ -28,6 +28,7 @@ vertex is invisible there.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,6 +40,7 @@ from .boundaries import (
     EndMode,
     VertexMode,
     _endpoint_coefficient,
+    _History,
     _history_convolution,
 )
 from .graph import Bond, Orientation, StarGraph
@@ -136,12 +138,13 @@ class SpinorField:
         return len(self.bonds)
 
     def max_abs(self) -> float:
+        """Largest |value| of phi and chi; NaN if any value is NaN."""
         peak = 0.0
-        for p, c in zip(self.phi, self.chi):
-            if p.size:
-                peak = max(peak, float(np.max(np.abs(p))))
-            if c.size:
-                peak = max(peak, float(np.max(np.abs(c))))
+        for a in (*self.phi, *self.chi):
+            if a.size:
+                m = float(np.max(np.abs(a)))
+                if m > peak or m != m:  # a NaN peak sticks
+                    peak = m
         return peak
 
     def copy(self) -> "SpinorField":
@@ -262,7 +265,7 @@ def build_initial_field(
 def _solve_tbc_node(
     q: complex,
     chi_adj: complex,
-    history: list[complex],
+    history: _History,
     kernel: BesselKernel,
     level: int,
     params: SimParams,
@@ -275,6 +278,9 @@ def _solve_tbc_node(
     half-cell update of the boundary phi node; the newest boundary value
     enters its own convolution through the trapezoid endpoint, so the two
     relations reduce to one linear equation for the new phi value.
+    ``history`` is the boundary's numpy-backed buffer of past values (any
+    sequence with ``append``, ``len`` and slicing will do); the new entry
+    is appended to it.
     """
     lam = params.courant
     beta = 0.5j * params.mass * params.dt
@@ -384,16 +390,46 @@ def step(
 
 def _check_stability(field: SpinorField, params: SimParams) -> None:
     peak = field.max_abs()
+    # a zero initial field is guarded against non-finite values only
+    limit = params.overflow_factor * field.initial_max or sys.float_info.max
+    if not peak <= limit:  # true for NaN and inf too
+        raise InstabilityError(_instability_report(field, params, peak))
+
+
+def _instability_report(field: SpinorField, params: SimParams, peak: float) -> str:
+    """Name the step, the location and class of the peak, and dt/dx."""
+    found = (-1.0, "", 0, 0)
+    for kind, arrays in (("phi node", field.phi), ("chi cell", field.chi)):
+        for j, a in enumerate(arrays):
+            if a.size:
+                mag = np.abs(a)
+                mag[np.isnan(mag)] = np.inf
+                k = int(np.argmax(mag))
+                if mag[k] > found[0]:
+                    found = (mag[k], kind, j, k)
+    _, kind, j, k = found
+    bond = field.bonds[j]
+    vertex = bond.cells if bond.orientation is Orientation.INCOMING else 0
+    touched = {k} if kind == "phi node" else {k, k + 1}
+    if vertex in touched:
+        where = "vertex"
+    elif bond.cells - vertex in touched:
+        where = "end"
+    else:
+        where = "interior"
+    place = (
+        f"{kind} {k} of bond {bond.index} ({where}); "
+        f"dt/dx = {params.courant:g}"
+    )
     if not np.isfinite(peak):
-        raise InstabilityError(
-            f"non-finite field values at step {field.time_level}"
+        return (
+            f"non-finite field value at step {field.time_level}, "
+            f"first at {place}"
         )
-    if field.initial_max > 0 and peak > params.overflow_factor * field.initial_max:
-        raise InstabilityError(
-            f"field grew to {peak:.3e} at step {field.time_level} "
-            f"({peak / field.initial_max:.1e} x initial); "
-            "check the CFL condition dt/dx <= 1"
-        )
+    return (
+        f"field grew to {peak:.3e} at step {field.time_level} "
+        f"({peak / field.initial_max:.1e} x initial), peak at {place}"
+    )
 
 
 @dataclass(frozen=True)

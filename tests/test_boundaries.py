@@ -15,7 +15,11 @@ from diracstar import (
     sum_rule_residual,
     vertex_tbc_factor,
 )
-from diracstar.boundaries import _endpoint_coefficient, _history_convolution
+from diracstar.boundaries import (
+    _endpoint_coefficient,
+    _History,
+    _history_convolution,
+)
 from diracstar.solver import _solve_tbc_node, _vertex_shared_value
 
 from .conftest import CANONICAL_ALPHAS
@@ -126,6 +130,48 @@ def test_missing_history_signalled():
         field = step(field, line, params, policy)
     with pytest.raises(MissingHistoryError):
         step(field, line, params, policy)
+
+
+def test_history_buffer_matches_list(kernel_massive):
+    # past the initial capacity, so the buffer has grown at least twice
+    rng = np.random.default_rng(13)
+    n = 3 * _History._CAPACITY + 5
+    values = random_history(rng, n)
+    buf = _History()
+    for v in values:
+        buf.append(v)
+    assert len(buf) == n
+    for start, stop, stride in ((None, None, None), (0, 1, None), (None, -1, None),
+                                (5, n - 7, 3), (-20, None, 2), (None, None, -1)):
+        sl = slice(start, stop, stride)
+        assert list(buf[sl]) == values[sl]
+    assert buf[-1] == values[-1] and buf[0] == values[0]
+    for level in range(len(kernel_massive.conv_weights)):
+        assert _history_convolution(buf, kernel_massive, level) == \
+            _history_convolution(values, kernel_massive, level)
+
+
+def test_list_histories_step_bit_identically():
+    # the buffer stores exactly what a list of complex would
+    line = build_star_graph([(1.0, 2.0, 0.05), (1.0, 2.0, 0.05)])
+    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=150)
+    kernel = BesselKernel.build(0.3, 0.04, 150)
+    fields = []
+    for seeded in (False, True):
+        policy = BoundaryPolicy(
+            VertexMode.KIRCHHOFF, (EndMode.TRANSPARENT,) * 2, kernel
+        )
+        if seeded:
+            policy.histories["end1"] = []
+            policy.histories["end2"] = []
+        field = build_initial_field(line, params, policy, x0=-1.0, sigma=0.2)
+        for _ in range(150):
+            field = step(field, line, params, policy)
+        assert isinstance(policy.history("end1"), list) == seeded
+        fields.append(field)
+    buffered, listed = fields
+    for a, b in zip(buffered.phi + buffered.chi, listed.phi + listed.chi):
+        assert np.array_equal(a, b)
 
 
 def test_vertex_factor_values():

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from diracstar import ConfigError, load_config
+import diracstar.config as config_module
+from diracstar import ConfigError, build_star_graph, load_config, run
 
 from .conftest import CONFIG_DIR
 
@@ -162,6 +165,38 @@ def test_transparent_vertex_requires_bond_one_source(tmp_path):
     bad += "\n[boundary]\nvertex_mode = transparent\n"
     with pytest.raises(ConfigError, match="bond 1"):
         load_config(write_config(tmp_path, bad))
+
+
+def test_transparent_vertex_rejects_unread_end_modes():
+    # only bond 1 is simulated, so ends of bonds 2..N are never read
+    cfg = replace(
+        load_config(CONFIG_DIR / "transparent_star.cfg"),
+        vertex_mode="transparent",
+    )
+    cfg.validate()
+    replace(cfg, end_modes=("transparent", "dirichlet", "dirichlet")).validate()
+    for j in (2, 3):
+        ends = ["dirichlet"] * 3
+        ends[j - 1] = "transparent"
+        with pytest.raises(ConfigError, match=rf"\[bond {j}\].*bond 1 only"):
+            replace(cfg, end_modes=tuple(ends)).validate()
+
+
+def test_run_builds_graph_twice(monkeypatch):
+    # once to validate the config, once for the run
+    cfg = replace(
+        load_config(CONFIG_DIR / "transparent_star.cfg"),
+        n_steps=1, snapshot_times=(),
+    )
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_star_graph(*args, **kwargs)
+
+    monkeypatch.setattr(config_module, "build_star_graph", counting)
+    run(cfg)
+    assert len(calls) == 2
 
 
 def test_parse_error_carries_location(tmp_path):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import diracstar.experiments as experiments_module
 from diracstar import load_config, run, run_experiment, sweep_alpha1
 from diracstar.cli import main
 
@@ -58,6 +59,24 @@ def test_snapshot_labelled_with_sampled_time(fast_config, tmp_path):
     run_experiment(replace(fast_config, snapshot_times=(2.01,)), tmp_path)
     snaps = sorted(p.name for p in tmp_path.glob("snapshot_*.csv"))
     assert snaps == [f"snapshot_bond{j}_t2.csv" for j in (1, 2, 3)]
+
+
+def test_snapshot_names_tell_large_times_apart(fast_config, tmp_path, monkeypatch):
+    # six significant digits print 10000.0 and 10000.01 alike; a real run
+    # to t = 1e4 is too long for a test, so the sampled times are relabelled
+    far = {0.0: 10000.0, 10.0: 10000.01}
+
+    def far_run(config):
+        result = run(config)
+        result.snapshots[:] = [replace(s, time=far[s.time]) for s in result.snapshots]
+        return result
+
+    monkeypatch.setattr(experiments_module, "run", far_run)
+    run_experiment(replace(fast_config, snapshot_times=(0.0, 10.0)), tmp_path)
+    snaps = sorted(p.name for p in tmp_path.glob("snapshot_*.csv"))
+    assert snaps == sorted(
+        f"snapshot_bond{j}_t{t}.csv" for j in (1, 2, 3) for t in ("10000", "10000.01")
+    )
 
 
 def test_canonical_run_transmits_packet(canonical_config, tmp_path):

@@ -21,6 +21,7 @@ from diracstar import (
     total_norm,
 )
 from diracstar.config import ExperimentConfig
+from diracstar.solver import _check_stability
 
 from .conftest import CANONICAL_ALPHAS
 from .oracles import gaussian
@@ -236,6 +237,32 @@ def test_cfl_violation_triggers_overflow_guard():
             field = step(field, g, params, policy)
 
 
+def test_instability_names_step_bond_and_node_class():
+    g = canonical_graph()
+    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    field = random_field(g, np.random.default_rng(6))
+    field.time_level = 7
+    # a NaN at the far end of bond 2 (outgoing: its last phi node)
+    bad = field.copy()
+    bad.phi[1][-1] = np.nan
+    with pytest.raises(InstabilityError) as err:
+        _check_stability(bad, params)
+    msg = str(err.value)
+    assert "non-finite" in msg and "step 7" in msg
+    assert f"phi node {g.bonds[1].cells} of bond 2 (end)" in msg
+    assert "dt/dx = 0.8" in msg
+    # an overflow at the vertex node of bond 1 (incoming: its last phi node)
+    bad = field.copy()
+    bad.phi[0][-1] = 2 * params.overflow_factor * field.initial_max
+    with pytest.raises(InstabilityError) as err:
+        _check_stability(bad, params)
+    msg = str(err.value)
+    assert "grew" in msg and "step 7" in msg
+    assert f"phi node {g.bonds[0].cells} of bond 1 (vertex)" in msg
+    assert "dt/dx = 0.8" in msg
+    _check_stability(field, params)
+
+
 def test_sim_params_validation():
     SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=10).validate()
     with pytest.raises(ValueError, match="CFL"):
@@ -268,7 +295,7 @@ def test_policy_cannot_be_shared_between_fields():
     f1 = build_initial_field(g, params, policy, x0=-1.0, sigma=0.2)
     f1 = step(f1, g, params, policy)
     fresh = build_initial_field(g, params, policy, x0=-1.0, sigma=0.2)
-    with pytest.raises(ValueError, match="shared"):
+    with pytest.raises(ValueError, match="policies cannot be shared between runs"):
         step(fresh, g, params, policy)
 
 
