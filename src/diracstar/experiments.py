@@ -26,10 +26,6 @@ from .solver import RunResult, run
 __all__ = ["run_experiment", "sweep_alpha1"]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _time_label(t: float) -> str:
     """Six-digit ``:g`` form of a snapshot time, or repr if that loses it."""
     short = f"{t:g}"
@@ -37,8 +33,10 @@ def _time_label(t: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
+    # "%.17g" % v prints what format(float(v), ".17g") prints
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [fmt % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -112,10 +110,10 @@ def run_experiment(
             label = _time_label(snap.time)
             path = out / f"snapshot_bond{snap.bond_index}_t{label}.csv"
             created.append(path)
-            rows = [
-                [x, p.real, p.imag, c.real, c.imag, d]
-                for x, p, c, d in zip(snap.x, snap.phi, snap.chi, snap.density)
-            ]
+            rows = np.column_stack((
+                snap.x, snap.phi.real, snap.phi.imag,
+                snap.chi.real, snap.chi.imag, snap.density,
+            )).tolist()
             _write_csv(
                 path,
                 ["x", "re_phi", "im_phi", "re_chi", "im_chi", "density"],

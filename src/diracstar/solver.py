@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -181,18 +182,25 @@ def gaussian_spinor(x0: float, sigma: float, bond: Bond) -> tuple[np.ndarray, np
     return phi, chi
 
 
-def _effective_alphas(graph: StarGraph, mode: VertexMode) -> np.ndarray:
-    if mode is VertexMode.KIRCHHOFF:
-        return np.ones(graph.n_bonds)
-    return np.asarray(graph.alphas, float)
+@lru_cache(maxsize=64)
+def _vertex_constants(
+    alphas: tuple[float, ...], mode: VertexMode
+) -> tuple[np.ndarray, np.float64]:
+    """Effective vertex weights and W = sum_j a_j^-2; cached, so read-only."""
+    kirchhoff = mode is VertexMode.KIRCHHOFF
+    effective = np.ones(len(alphas)) if kirchhoff else np.asarray(alphas, float)
+    effective.flags.writeable = False
+    return effective, np.sum(1.0 / effective ** 2)
 
 
-def _vertex_shared_value(field: SpinorField, alphas: np.ndarray) -> complex:
+def _vertex_shared_value(
+    field: SpinorField, alphas: np.ndarray, w_all: np.float64
+) -> complex:
     # least-squares projection of the stored vertex values on the chain
     total = field.phi[0][-1] / alphas[0]
     for j in range(1, field.n_bonds):
         total += field.phi[j][0] / alphas[j]
-    return total / np.sum(1.0 / alphas ** 2)
+    return total / w_all
 
 
 def build_initial_field(
@@ -237,8 +245,8 @@ def build_initial_field(
         if policy.end_modes[0] is EndMode.DIRICHLET:
             field.phi[0][0] = 0.0
     else:
-        alphas = _effective_alphas(graph, policy.vertex_mode)
-        shared = _vertex_shared_value(field, alphas)
+        alphas, w_all = _vertex_constants(graph.alphas, policy.vertex_mode)
+        shared = _vertex_shared_value(field, alphas, w_all)
         field.phi[0][-1] = shared / alphas[0]
         for j in range(1, field.n_bonds):
             field.phi[j][0] = shared / alphas[j]
@@ -344,9 +352,8 @@ def step(
             factor=policy.vertex_factor,
         )
     else:
-        alphas = _effective_alphas(graph, policy.vertex_mode)
-        w_all = np.sum(1.0 / alphas ** 2)
-        shared_old = _vertex_shared_value(field, alphas)
+        alphas, w_all = _vertex_constants(graph.alphas, policy.vertex_mode)
+        shared_old = _vertex_shared_value(field, alphas, w_all)
         flux = field.chi[0][-1] / alphas[0]
         for j in range(1, field.n_bonds):
             flux -= field.chi[j][0] / alphas[j]
@@ -389,9 +396,20 @@ def step(
 
 
 def _check_stability(field: SpinorField, params: SimParams) -> None:
-    peak = field.max_abs()
+    """Raise InstabilityError iff ``not field.max_abs() <= limit``.
+
+    max |z| <= ||a||_2, so a 2-norm of at most half the limit (the half
+    absorbs the dots' rounding) clears the step; NaN, inf and overflow fail
+    that bound, and only then is the exact peak computed.
+    """
     # a zero initial field is guarded against non-finite values only
     limit = params.overflow_factor * field.initial_max or sys.float_info.max
+    # below 1e-150, squares of values near the limit could underflow
+    if limit >= 1e-150:
+        sq = sum(np.vdot(a, a).real for a in (*field.phi, *field.chi))
+        if np.sqrt(sq) <= 0.5 * limit:
+            return
+    peak = field.max_abs()
     if not peak <= limit:  # true for NaN and inf too
         raise InstabilityError(_instability_report(field, params, peak))
 

@@ -228,7 +228,7 @@ def test_apply_vertex_weighted_distribution():
     p = 0.37 - 0.11j
     field.phi[0][-1] = p
     alphas = np.asarray(CANONICAL_ALPHAS)
-    shared = _vertex_shared_value(field, alphas)
+    shared = _vertex_shared_value(field, alphas, np.sum(1.0 / alphas ** 2))
     assert shared / alphas[0] == pytest.approx(p / 2, rel=1e-12)  # projection halves it
     # with no flux the shared value only turns by the mass phase, and the
     # new vertex values split by sqrt(2/3), sqrt(1/3)

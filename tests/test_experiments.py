@@ -54,6 +54,19 @@ def test_run_experiment_artifacts(fast_config, tmp_path):
     assert snap_header == "x,re_phi,im_phi,re_chi,im_chi,density"
 
 
+
+def test_csv_rows_print_as_format_17g(tmp_path):
+    # each value prints exactly as format(float(v), ".17g") prints it
+    values = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 0.1, 1e16, 7,
+              np.float64(2.0 / 3.0)]
+    rows = [[v, -v] for v in values]
+    path = tmp_path / "rows.csv"
+    experiments_module._write_csv(path, ["a", "b"], rows)
+    expected = ["a,b"] + [
+        ",".join(format(float(v), ".17g") for v in row) for row in rows
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
 def test_snapshot_labelled_with_sampled_time(fast_config, tmp_path):
     # 2.01 falls on step 50 of dt = 0.04, which samples t = 2
     run_experiment(replace(fast_config, snapshot_times=(2.01,)), tmp_path)

@@ -1,0 +1,98 @@
+"""Properties of the stepper on random star graphs.
+
+Each example draws a bond count N in 2..6, a vertex mode and two different
+weight vectors in [0.3, 3]^N, and steps both graphs in lockstep in one
+process, so vertex constants carried over from another graph show up.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from diracstar import (
+    BoundaryPolicy,
+    EndMode,
+    SimParams,
+    SpinorField,
+    VertexMode,
+    build_initial_field,
+    build_star_graph,
+    energy,
+    step,
+)
+
+from .test_boundaries import vertex_values
+
+PARAMS = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=50)
+
+
+@st.composite
+def star_pair(draw):
+    n = draw(st.integers(2, 6))
+    mode = draw(st.sampled_from([VertexMode.WEIGHTED, VertexMode.KIRCHHOFF]))
+    weights = st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n)
+    first = draw(weights)
+    second = draw(weights.filter(lambda w: w != first))
+    return mode, (tuple(first), tuple(second))
+
+
+def closed_star(alphas, mode):
+    graph = build_star_graph([(a, 2.0, 0.05) for a in alphas])
+    policy = BoundaryPolicy(mode, (EndMode.DIRICHLET,) * len(alphas))
+    return graph, policy
+
+
+def packet(graph, policy):
+    # reaches the vertex at t ~ 1, half way through the 50 steps
+    return build_initial_field(graph, PARAMS, policy, x0=-1.0, sigma=0.2)
+
+
+def effective_weights(alphas, mode):
+    return np.asarray(alphas) if mode is VertexMode.WEIGHTED else np.ones(len(alphas))
+
+
+@settings(max_examples=12, deadline=None)
+@given(star_pair())
+def test_random_star_keeps_vertex_chain(pair):
+    mode, weight_sets = pair
+    stars = [closed_star(alphas, mode) for alphas in weight_sets]
+    fields = [packet(g, p) for g, p in stars]
+    for _ in range(PARAMS.n_steps):
+        for i, (alphas, (graph, policy)) in enumerate(zip(weight_sets, stars)):
+            fields[i] = step(fields[i], graph, PARAMS, policy)
+            chain = effective_weights(alphas, mode) * vertex_values(fields[i])
+            assert np.all(np.abs(chain - chain[0]) <= 1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(star_pair())
+def test_random_star_conserves_energy(pair):
+    mode, weight_sets = pair
+    stars = [closed_star(alphas, mode) for alphas in weight_sets]
+    fields = [packet(g, p) for g, p in stars]
+    e0 = [energy(f, PARAMS) for f in fields]
+    for _ in range(PARAMS.n_steps):
+        for i, (graph, policy) in enumerate(stars):
+            fields[i] = step(fields[i], graph, PARAMS, policy)
+            assert abs(energy(fields[i], PARAMS) - e0[i]) <= 1e-12 * e0[i]
+
+
+@settings(max_examples=12, deadline=None)
+@given(star_pair(), st.integers(0, 2**32 - 1))
+def test_random_star_step_is_linear(pair, seed):
+    mode, weight_sets = pair
+    rng = np.random.default_rng(seed)
+    a, b = 0.6 - 0.3j, -1.1 + 0.7j
+    for graph, policy in (closed_star(alphas, mode) for alphas in weight_sets):
+        f1 = packet(graph, policy)
+        f2 = SpinorField.zeros(graph.bonds)
+        for arr in f2.phi + f2.chi:
+            arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
+        mixed = SpinorField(
+            graph.bonds,
+            [a * p1 + b * p2 for p1, p2 in zip(f1.phi, f2.phi)],
+            [a * c1 + b * c2 for c1, c2 in zip(f1.chi, f2.chi)],
+        )
+        f2.initial_max = f2.max_abs()
+        for _ in range(PARAMS.n_steps):
+            f1, f2, mixed = (step(f, graph, PARAMS, policy) for f in (f1, f2, mixed))
+        for lhs, u, v in zip(mixed.phi + mixed.chi, f1.phi + f1.chi, f2.phi + f2.chi):
+            np.testing.assert_allclose(lhs, a * u + b * v, rtol=0, atol=1e-12)

@@ -1,7 +1,9 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracstar import (
     BesselKernel,
@@ -261,6 +263,67 @@ def test_instability_names_step_bond_and_node_class():
     assert f"phi node {g.bonds[0].cells} of bond 1 (vertex)" in msg
     assert "dt/dx = 0.8" in msg
     _check_stability(field, params)
+
+
+def _guard_plants(limit):
+    """Values near every edge of the guard: limit, underflow, overflow, NaN."""
+    return (
+        0.0, 5e-324, 2.5e-310, 1e-300, limit * (1 - 1e-15), limit,
+        limit * (1 + 1e-15), 0.5 * limit, 1e200, 1e308,
+        np.inf, -np.inf, np.nan,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_guard_raises_iff_peak_exceeds_limit(data):
+    # the norm bound that clears most steps must never change a verdict
+    cells = data.draw(st.lists(st.integers(4, 7), min_size=2, max_size=4))
+    g = build_star_graph([(1.0, 0.25 * n, 0.25) for n in cells])
+    params = SimParams(mass=0.0, dt=0.2, dx=0.25, n_steps=1)
+    initial_max = data.draw(st.sampled_from([0.0, 5e-324, 1e-200, 0.37, 1.0, 1e150]))
+    limit = params.overflow_factor * initial_max or sys.float_info.max
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([0.0, 1e-3, 0.3])) * min(limit, 1.0)
+    arrays = [
+        scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for b in g.bonds for n in (b.cells + 1, b.cells)
+    ]
+    for _ in range(data.draw(st.integers(1, 4))):
+        a = arrays[data.draw(st.integers(0, len(arrays) - 1))]
+        k = data.draw(st.integers(0, len(a) - 1))
+        value = data.draw(st.sampled_from(_guard_plants(limit)))
+        value *= data.draw(st.sampled_from([1.0, -1.0]))
+        if data.draw(st.booleans()):
+            a[k] = complex(a[k].real, value)
+        else:
+            a[k] = complex(value, a[k].imag)
+    field = SpinorField(
+        g.bonds, arrays[0::2], arrays[1::2], initial_max=initial_max
+    )
+    if not field.max_abs() <= limit:
+        with pytest.raises(InstabilityError):
+            _check_stability(field, params)
+    else:
+        _check_stability(field, params)
+
+
+def test_guard_skips_exact_peak_on_a_healthy_run(canonical_config, monkeypatch):
+    # the norm bound clears every step, so the exact peak is computed only
+    # for the initial maximum
+    graph = canonical_config.build_graph()
+    params = canonical_config.sim_params()
+    policy = canonical_config.build_policy()
+    field = build_initial_field(graph, params, policy, x0=-5.0, sigma=0.9)
+    calls = []
+    original = SpinorField.max_abs
+    monkeypatch.setattr(
+        SpinorField, "max_abs", lambda self: calls.append(1) or original(self)
+    )
+    for _ in range(100):
+        field = step(field, graph, params, policy)
+    assert field.time_level == 100 and field.initial_max > 0
+    assert calls == []
 
 
 def test_sim_params_validation():
