@@ -129,12 +129,11 @@ def _endpoint_coefficient(kernel: BesselKernel, level: int) -> complex:
 
 
 class BoundaryPolicy:
-    """Vertex/end condition selection plus the convolution state of one run.
+    """The vertex mode, the end modes and the convolution kernel of a run.
 
-    The histories record the boundary phi values at integer time levels,
-    one numpy-backed buffer per boundary key; each buffer's length equals
-    the owning field's time level.  A policy instance is owned by exactly
-    one simulation and must not be shared or reused across runs.
+    A policy holds no run state, so one policy can step any number of
+    fields.  The boundary histories live in the ``SpinorField``, and the
+    transparent vertex takes its factor A from the graph's weights.
     """
 
     def __init__(
@@ -142,13 +141,10 @@ class BoundaryPolicy:
         vertex_mode: VertexMode,
         end_modes: Sequence[EndMode],
         kernel: BesselKernel | None = None,
-        vertex_factor: float = 1.0,
     ) -> None:
         self.vertex_mode = vertex_mode
         self.end_modes = tuple(end_modes)
         self.kernel = kernel
-        self.vertex_factor = float(vertex_factor)
-        self.histories: dict[str, _History] = {}
         if self.requires_kernel and kernel is None:
             raise ValueError("transparent boundary conditions need a BesselKernel")
 
@@ -164,16 +160,3 @@ class BoundaryPolicy:
                 f"policy has {len(self.end_modes)} end modes for "
                 f"{graph.n_bonds} bonds"
             )
-
-    def history(self, key: str) -> _History:
-        if key not in self.histories:
-            self.histories[key] = _History()
-        return self.histories[key]
-
-    def check_level(self, time_level: int) -> None:
-        for key, h in self.histories.items():
-            if len(h) != time_level:
-                raise ValueError(
-                    f"history '{key}' has {len(h)} entries, expected "
-                    f"{time_level}; policies cannot be shared between runs"
-                )

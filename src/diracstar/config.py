@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .bessel import BesselKernel
-from .boundaries import BoundaryPolicy, EndMode, VertexMode, vertex_tbc_factor
+from .boundaries import BoundaryPolicy, EndMode, VertexMode
 from .graph import StarGraph, build_star_graph
 from .solver import SimParams
 
@@ -62,7 +62,6 @@ class ExperimentConfig:
     snapshot_times: tuple[float, ...] = ()
     output_dir: str | None = None
     sweep: SweepSpec | None = None
-    overflow_factor: float = 1e6
 
     def validate(self) -> None:
         n = len(self.alphas)
@@ -157,11 +156,10 @@ class ExperimentConfig:
             dt=self.dt,
             dx=self.dx,
             n_steps=self.n_steps,
-            overflow_factor=self.overflow_factor,
         )
 
     def build_policy(self) -> BoundaryPolicy:
-        """Fresh boundary policy (with kernel if needed) for one run."""
+        """Boundary policy, with the kernel when a boundary is transparent."""
         vertex = VertexMode(self.vertex_mode)
         ends = tuple(
             EndMode(m) for m in (self.end_modes or ("dirichlet",) * len(self.alphas))
@@ -169,9 +167,7 @@ class ExperimentConfig:
         kernel = None
         if vertex is VertexMode.TRANSPARENT or EndMode.TRANSPARENT in ends:
             kernel = BesselKernel.build(self.mass, self.dt, self.n_steps)
-        return BoundaryPolicy(
-            vertex, ends, kernel, vertex_factor=vertex_tbc_factor(self.alphas)
-        )
+        return BoundaryPolicy(vertex, ends, kernel)
 
     def with_alpha1(self, value: float) -> "ExperimentConfig":
         return replace(
@@ -252,7 +248,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             f"{path}: missing required sections: "
             + ", ".join(f"[{s}]" for s in need)
             + " (required keys: [graph] dx; [bond j] alpha, length; "
-            "[simulation] mass, dt, n_steps; [initial] bond, x0, sigma)"
+            "[simulation] mass, dt, n_steps; [initial] x0, sigma)"
         )
     if sorted(bond_sections) != list(range(1, len(bond_sections) + 1)):
         raise ConfigError(

@@ -40,8 +40,8 @@ class Bond:
     """One bond of the star graph with its grid and coupling weight.
 
     ``index`` is 1-based.  ``length`` is the truncation length of the
-    semi-infinite bond (dimensionless units); ``length / dx`` must be an
-    integer so the staggered grid fits exactly.
+    semi-infinite bond (dimensionless units); ``cells = length / dx`` must
+    be an integer so the staggered grid fits exactly.
     """
 
     index: int
@@ -49,10 +49,7 @@ class Bond:
     length: float
     dx: float
     orientation: Orientation
-
-    @property
-    def cells(self) -> int:
-        return int(round(self.length / self.dx))
+    cells: int
 
     def node_coordinates(self) -> np.ndarray:
         """Positions of the integer grid nodes (phi samples), vertex included."""
@@ -133,7 +130,7 @@ def build_star_graph(spec: Iterable[Sequence[float]]) -> StarGraph:
                 f"(need an integer cell count >= {_MIN_CELLS})"
             )
         orientation = Orientation.INCOMING if i == 1 else Orientation.OUTGOING
-        bonds.append(Bond(i, alpha, length, dx, orientation))
+        bonds.append(Bond(i, alpha, length, dx, orientation, n))
     return StarGraph(tuple(bonds))
 
 

@@ -28,6 +28,7 @@ vertex is invisible there.
 """
 from __future__ import annotations
 
+import copy
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,6 +44,7 @@ from .boundaries import (
     _endpoint_coefficient,
     _History,
     _history_convolution,
+    vertex_tbc_factor,
 )
 from .graph import Bond, Orientation, StarGraph
 
@@ -63,6 +65,10 @@ __all__ = [
 ]
 
 
+# the guard trips when a value exceeds this multiple of the initial maximum
+OVERFLOW_FACTOR = 1e6
+
+
 class InstabilityError(RuntimeError):
     """Field values exceeded the overflow guard or became non-finite."""
 
@@ -75,7 +81,6 @@ class SimParams:
     dt: float
     dx: float
     n_steps: int
-    overflow_factor: float = 1e6
 
     @property
     def courant(self) -> float:
@@ -92,8 +97,6 @@ class SimParams:
             raise ValueError(
                 f"CFL violated: dt/dx = {self.courant} exceeds 1"
             )
-        if self.overflow_factor <= 1:
-            raise ValueError("overflow_factor must exceed 1")
 
 
 class SpinorField:
@@ -101,7 +104,10 @@ class SpinorField:
 
     After n accepted steps the stored phi sits at t = (n - 1/2) dt and chi
     at t = n dt.  ``bonds`` is the simulated domain: all graph bonds, or
-    just bond 1 for a transparent-vertex interior run.
+    just bond 1 for a transparent-vertex interior run.  ``histories`` maps
+    each transparent boundary ('vertex', 'end<j>') to its past boundary
+    values, one per time level; ``step`` hands the buffers on to the new
+    field, so only the newest field of a run can be stepped.
     """
 
     def __init__(
@@ -111,6 +117,7 @@ class SpinorField:
         chi: list[np.ndarray],
         time_level: int = 0,
         initial_max: float | None = None,
+        histories: dict[str, _History] | None = None,
     ) -> None:
         if len(phi) != len(bonds) or len(chi) != len(bonds):
             raise ValueError("one phi and chi array required per bond")
@@ -127,12 +134,13 @@ class SpinorField:
         if initial_max is None:
             initial_max = self.max_abs()
         self.initial_max = initial_max
+        self.histories = {} if histories is None else histories
 
     @classmethod
     def zeros(cls, bonds: tuple[Bond, ...]) -> "SpinorField":
         phi = [np.zeros(b.cells + 1, dtype=complex) for b in bonds]
         chi = [np.zeros(b.cells, dtype=complex) for b in bonds]
-        return cls(bonds, phi, chi)
+        return cls(bonds, phi, chi, initial_max=0.0)
 
     @property
     def n_bonds(self) -> int:
@@ -155,6 +163,7 @@ class SpinorField:
             [c.copy() for c in self.chi],
             self.time_level,
             self.initial_max,
+            copy.deepcopy(self.histories),
         )
 
 
@@ -218,10 +227,16 @@ def build_initial_field(
     chi keeps its t = 0 samples; phi is pulled back to t = -dt/2 with a
     Taylor half step (using the staggered derivative of chi), which keeps
     the scheme second order in time.  End and vertex nodes are then made
-    consistent with the boundary policy, and the state is optionally
-    rescaled to unit total norm.
+    consistent with the boundary policy, whose kernel must match the run's
+    mass and dt, and the state is optionally rescaled to unit total norm.
     """
     policy.validate_for(graph)
+    k = policy.kernel
+    if policy.requires_kernel and (k.mass, k.dt) != (params.mass, params.dt):
+        raise ValueError(
+            f"kernel built for mass {k.mass!r} and dt {k.dt!r}, but the run "
+            f"has mass {params.mass!r} and dt {params.dt!r}"
+        )
     interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
     bonds = (graph.bonds[0],) if interior_only else graph.bonds
     if interior_only and bond_index != 1:
@@ -241,18 +256,14 @@ def build_initial_field(
         dchi = (c[1:] - c[:-1]) / params.dx
         p[1:-1] += 0.5 * params.dt * (dchi + 1j * params.mass * p[1:-1])
 
-    if interior_only:
-        if policy.end_modes[0] is EndMode.DIRICHLET:
-            field.phi[0][0] = 0.0
-    else:
+    if policy.end_modes[0] is EndMode.DIRICHLET:
+        field.phi[0][0] = 0.0
+    if not interior_only:
         alphas, w_all = _vertex_constants(graph.alphas, policy.vertex_mode)
         shared = _vertex_shared_value(field, alphas, w_all)
         field.phi[0][-1] = shared / alphas[0]
         for j in range(1, field.n_bonds):
             field.phi[j][0] = shared / alphas[j]
-        if policy.end_modes[0] is EndMode.DIRICHLET:
-            field.phi[0][0] = 0.0
-        for j in range(1, field.n_bonds):
             if policy.end_modes[j] is EndMode.DIRICHLET:
                 field.phi[j][-1] = 0.0
 
@@ -305,6 +316,20 @@ def _solve_tbc_node(
     return p
 
 
+def _history(field: SpinorField, key: str) -> _History:
+    """The boundary's history buffer, created on the first step."""
+    history = field.histories.get(key)
+    if history is None:
+        history = field.histories[key] = _History()
+    if len(history) != field.time_level:
+        raise ValueError(
+            f"history '{key}' has {len(history)} entries at time level "
+            f"{field.time_level}: step only the newest field of a run, with "
+            "the boundary modes it started with"
+        )
+    return history
+
+
 def step(
     field: SpinorField,
     graph: StarGraph,
@@ -315,11 +340,11 @@ def step(
 
     All phi nodes are updated first (interior stencil, then vertex and end
     conditions), then every chi cell from the new phi.  Transparent
-    boundaries append to the policy's history buffers, so a policy instance
-    must track exactly one field.  Raises InstabilityError when any value
-    exceeds the overflow guard or becomes non-finite.
+    boundaries append to the field's history buffers, which the new field
+    takes over; stepping an older field of the run raises ValueError.
+    Raises InstabilityError when any value exceeds the overflow guard or
+    becomes non-finite.
     """
-    policy.check_level(field.time_level)
     lam = params.courant
     cp = 1.0 + 0.5j * params.mass * params.dt
     cm = 1.0 - 0.5j * params.mass * params.dt
@@ -339,17 +364,15 @@ def step(
 
     # vertex end
     if interior_only:
-        kernel = policy.kernel
-        assert kernel is not None
         new_phi[0][-1] = _solve_tbc_node(
             field.phi[0][-1],
             field.chi[0][-1],
-            policy.history("vertex"),
-            kernel,
+            _history(field, "vertex"),
+            policy.kernel,
             level,
             params,
             right_end=True,
-            factor=policy.vertex_factor,
+            factor=vertex_tbc_factor(graph.alphas),
         )
     else:
         alphas, w_all = _vertex_constants(graph.alphas, policy.vertex_mode)
@@ -370,14 +393,12 @@ def step(
         if mode is EndMode.DIRICHLET:
             new_phi[j][node] = 0.0
             continue
-        kernel = policy.kernel
-        assert kernel is not None
         chi_adj = field.chi[j][-1] if right_end else field.chi[j][0]
         new_phi[j][node] = _solve_tbc_node(
             field.phi[j][node],
             chi_adj,
-            policy.history(f"end{field.bonds[j].index}"),
-            kernel,
+            _history(field, f"end{field.bonds[j].index}"),
+            policy.kernel,
             level,
             params,
             right_end=right_end,
@@ -389,7 +410,8 @@ def step(
     ]
 
     out = SpinorField(
-        field.bonds, new_phi, new_chi, field.time_level + 1, field.initial_max
+        field.bonds, new_phi, new_chi, level + 1, field.initial_max,
+        field.histories,
     )
     _check_stability(out, params)
     return out
@@ -403,7 +425,7 @@ def _check_stability(field: SpinorField, params: SimParams) -> None:
     that bound, and only then is the exact peak computed.
     """
     # a zero initial field is guarded against non-finite values only
-    limit = params.overflow_factor * field.initial_max or sys.float_info.max
+    limit = OVERFLOW_FACTOR * field.initial_max or sys.float_info.max
     # below 1e-150, squares of values near the limit could underflow
     if limit >= 1e-150:
         sq = sum(np.vdot(a, a).real for a in (*field.phi, *field.chi))

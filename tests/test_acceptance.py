@@ -27,6 +27,7 @@ from diracstar import (
     sweep_alpha1,
     total_norm,
     transmitted_fractions,
+    vertex_tbc_factor,
 )
 from diracstar.boundaries import _endpoint_coefficient, _history_convolution
 
@@ -120,7 +121,7 @@ def test_criterion_06_interior_exterior_equivalence(canonical_config):
 
     g_full, p_full, pol_full, f_full = prepare(full_cfg)
     g_int, p_int, pol_int, f_int = prepare(interior_cfg)
-    assert pol_int.vertex_factor == pytest.approx(1.0, abs=1e-14)
+    assert vertex_tbc_factor(g_int.alphas) == pytest.approx(1.0, abs=1e-14)
 
     linf = 0.0
     for n in range(1, 1001):
@@ -149,8 +150,8 @@ def test_criterion_07_massless_collapse(canonical_config):
     for _ in range(400):
         field = step(field, line, params, policy)
 
-    histories = [(kernel, policy.histories["end1"]),
-                 (kernel, policy.histories["end2"])]
+    histories = [(kernel, field.histories["end1"]),
+                 (kernel, field.histories["end2"])]
 
     # transparent vertex on the massless interior problem
     cfg = replace(
@@ -163,7 +164,7 @@ def test_criterion_07_massless_collapse(canonical_config):
     field = build_initial_field(graph, params, policy, x0=-5.0, sigma=0.9)
     for _ in range(400):
         field = step(field, graph, params, policy)
-    histories.append((policy.kernel, policy.histories["vertex"]))
+    histories.append((policy.kernel, field.histories["vertex"]))
 
     # the stepper's evaluator: newest value enters with weight 1, the
     # history tail vanishes, so chi = +/- phi at the ends and chi = A phi

@@ -157,17 +157,17 @@ def test_list_histories_step_bit_identically():
     params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=150)
     kernel = BesselKernel.build(0.3, 0.04, 150)
     fields = []
+    policy = BoundaryPolicy(
+        VertexMode.KIRCHHOFF, (EndMode.TRANSPARENT,) * 2, kernel
+    )
     for seeded in (False, True):
-        policy = BoundaryPolicy(
-            VertexMode.KIRCHHOFF, (EndMode.TRANSPARENT,) * 2, kernel
-        )
-        if seeded:
-            policy.histories["end1"] = []
-            policy.histories["end2"] = []
         field = build_initial_field(line, params, policy, x0=-1.0, sigma=0.2)
+        if seeded:
+            field.histories["end1"] = []
+            field.histories["end2"] = []
         for _ in range(150):
             field = step(field, line, params, policy)
-        assert isinstance(policy.history("end1"), list) == seeded
+        assert isinstance(field.histories["end1"], list) == seeded
         fields.append(field)
     buffered, listed = fields
     for a, b in zip(buffered.phi + buffered.chi, listed.phi + listed.chi):
@@ -270,6 +270,27 @@ def test_policy_validation():
         policy.validate_for(graph)
 
 
+def test_kernel_must_match_the_run():
+    # a kernel for another mass or dt would step without complaint
+    line = build_star_graph([(1.0, 2.0, 0.05), (1.0, 2.0, 0.05)])
+    star = build_star_graph([(1.0, 2.0, 0.05)] * 3)
+    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=50)
+    for kernel, named in (
+        (BesselKernel.build(0.0, 0.04, 50), "mass 0.0 and dt 0.04, but the run "
+         "has mass 0.3"),
+        (BesselKernel.build(0.3, 0.01, 50), "mass 0.3 and dt 0.01, but the run "
+         "has mass 0.3 and dt 0.04"),
+    ):
+        for graph, vertex, end in (
+            (line, VertexMode.KIRCHHOFF, EndMode.TRANSPARENT),
+            (star, VertexMode.TRANSPARENT, EndMode.DIRICHLET),
+        ):
+            policy = BoundaryPolicy(vertex, (end,) * graph.n_bonds, kernel)
+            with pytest.raises(ValueError, match=named):
+                field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+                step(field, graph, params, policy)
+
+
 def test_initial_field_checks_end_mode_count():
     graph = build_star_graph([(a, 2.0, 0.05) for a in CANONICAL_ALPHAS])
     params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=10)
@@ -279,11 +300,3 @@ def test_initial_field_checks_end_mode_count():
         )
         with pytest.raises(ValueError, match="end modes"):
             build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
-
-
-def test_policy_level_check():
-    policy = BoundaryPolicy(VertexMode.KIRCHHOFF, (EndMode.DIRICHLET,) * 2)
-    policy.history("end2").append(1.0 + 0j)
-    with pytest.raises(ValueError, match="history"):
-        policy.check_level(0)
-    policy.check_level(1)

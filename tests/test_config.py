@@ -83,8 +83,19 @@ def test_empty_file_lists_required_keys(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, ""))
     message = str(err.value)
-    for needed in ("[graph]", "[simulation]", "[initial]", "dx", "n_steps"):
+    for needed in ("[graph]", "[simulation]", "[initial] x0, sigma)", "dx", "n_steps"):
         assert needed in message
+    # [initial] bond is optional and defaults to 1
+    cfg = load_config(write_config(tmp_path, MINIMAL.replace("bond = 1\n", "")))
+    assert cfg.source_bond == 1
+
+
+def test_per_bond_counts_must_match(tmp_path):
+    cfg = load_config(write_config(tmp_path, MINIMAL))
+    with pytest.raises(ConfigError, match="one length per bond required"):
+        replace(cfg, lengths=(10.0,) * 3).validate()
+    with pytest.raises(ConfigError, match="one end_mode per bond required"):
+        replace(cfg, end_modes=("dirichlet",)).validate()
 
 
 def test_cfl_violation_rejected(tmp_path):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import diracstar.experiments as experiments_module
-from diracstar import load_config, run, run_experiment, sweep_alpha1
+from diracstar import (
+    InstabilityError,
+    load_config,
+    run,
+    run_experiment,
+    sweep_alpha1,
+)
 from diracstar.cli import main
 
 from .conftest import CONFIG_DIR
@@ -242,6 +248,38 @@ def test_cli_sweep(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "min R" in out
     assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+def test_cli_sweep_range_from_config(tmp_path, monkeypatch):
+    base = load_config(CONFIG_DIR / "transparent_star.cfg")
+    fast = replace(base, dx=0.05, dt=0.04, n_steps=50, snapshot_times=())
+    cfg_path = tmp_path / "fast.cfg"
+    cfg_path.write_text(_render_config(fast))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+
+    cfg_path.write_text(
+        _render_config(fast) + "\n[sweep]\nfrom = 0.6\nto = 1.0\npoints = 2\n"
+    )
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert (summary["from"], summary["to"], summary["points"]) == (0.6, 1.0, 2)
+    argv = ["sweep", "--config", str(cfg_path), "--points", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "sweep_summary.json").read_text())["points"] == 3
+
+    # a failed point sets the exit code by its cause
+    real = experiments_module._sweep_point
+    for error, code in ((InstabilityError("grew"), 3), (ValueError("bad"), 2)):
+        def flaky(config, value, error=error):
+            if value > 0.9:
+                raise error
+            return real(config, value)
+
+        monkeypatch.setattr(experiments_module, "_sweep_point", flaky)
+        assert main(argv) == code
+        failures = json.loads((out / "sweep_summary.json").read_text())["failures"]
+        assert [f["alpha1"] for f in failures] == [1.0]
 
 
 def test_cli_validation_error_exit_code(tmp_path):

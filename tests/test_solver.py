@@ -23,7 +23,7 @@ from diracstar import (
     total_norm,
 )
 from diracstar.config import ExperimentConfig
-from diracstar.solver import _check_stability
+from diracstar.solver import OVERFLOW_FACTOR, _check_stability
 
 from .conftest import CANONICAL_ALPHAS
 from .oracles import gaussian
@@ -255,7 +255,7 @@ def test_instability_names_step_bond_and_node_class():
     assert "dt/dx = 0.8" in msg
     # an overflow at the vertex node of bond 1 (incoming: its last phi node)
     bad = field.copy()
-    bad.phi[0][-1] = 2 * params.overflow_factor * field.initial_max
+    bad.phi[0][-1] = 2 * OVERFLOW_FACTOR * field.initial_max
     with pytest.raises(InstabilityError) as err:
         _check_stability(bad, params)
     msg = str(err.value)
@@ -282,7 +282,7 @@ def test_guard_raises_iff_peak_exceeds_limit(data):
     g = build_star_graph([(1.0, 0.25 * n, 0.25) for n in cells])
     params = SimParams(mass=0.0, dt=0.2, dx=0.25, n_steps=1)
     initial_max = data.draw(st.sampled_from([0.0, 5e-324, 1e-200, 0.37, 1.0, 1e150]))
-    limit = params.overflow_factor * initial_max or sys.float_info.max
+    limit = OVERFLOW_FACTOR * initial_max or sys.float_info.max
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     scale = data.draw(st.sampled_from([0.0, 1e-3, 0.3])) * min(limit, 1.0)
     arrays = [
@@ -332,6 +332,51 @@ def test_sim_params_validation():
         SimParams(mass=0.01, dt=0.025, dx=0.0125, n_steps=10).validate()
     with pytest.raises(ValueError, match="mass"):
         SimParams(mass=-1.0, dt=0.01, dx=0.0125, n_steps=10).validate()
+    with pytest.raises(ValueError, match="dt and dx must be positive"):
+        SimParams(mass=0.01, dt=0.0, dx=0.0125, n_steps=10).validate()
+    with pytest.raises(ValueError, match="n_steps must be non-negative, got -1"):
+        SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=-1).validate()
+
+
+def test_field_shape_must_match_bonds():
+    g = line_graph(length=2.0, dx=0.05)
+    phi = [np.zeros(41, complex), np.zeros(40, complex)]
+    chi = [np.zeros(40, complex), np.zeros(40, complex)]
+    with pytest.raises(ValueError, match=r"bond 2: need 41 phi and 40 chi"):
+        SpinorField(g.bonds, phi, chi)
+
+
+def test_initial_field_rejects_bond_outside_domain():
+    g = line_graph(length=2.0, dx=0.05)
+    params = SimParams(mass=0.0, dt=0.04, dx=0.05, n_steps=4)
+    with pytest.raises(ValueError, match="bond_index 3 outside simulated domain"):
+        build_initial_field(
+            g, params, dirichlet_policy(g), x0=1.0, sigma=0.2, bond_index=3
+        )
+
+
+def test_step_rejects_partial_field():
+    g = canonical_graph()
+    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=4)
+    field = SpinorField.zeros(g.bonds[:2])
+    with pytest.raises(ValueError, match="field does not cover the full graph"):
+        step(field, g, params, dirichlet_policy(g))
+
+
+def test_initial_field_takes_one_peak(monkeypatch):
+    # the all-zero start of the field needs no peak
+    calls = []
+    original = SpinorField.max_abs
+    monkeypatch.setattr(
+        SpinorField, "max_abs", lambda self: calls.append(1) or original(self)
+    )
+    g = canonical_graph()
+    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    field = build_initial_field(
+        g, params, dirichlet_policy(g, VertexMode.WEIGHTED), x0=-5.0, sigma=0.9
+    )
+    assert len(calls) == 1
+    assert field.initial_max == original(field) > 0
 
 
 def test_transparent_vertex_rejects_full_graph_field():
@@ -347,19 +392,75 @@ def test_transparent_vertex_rejects_full_graph_field():
         step(field, g, params, policy)
 
 
-def test_policy_cannot_be_shared_between_fields():
-    g = line_graph(length=2.0, dx=0.05)
-    params = SimParams(mass=0.0, dt=0.04, dx=0.05, n_steps=4)
-    policy = BoundaryPolicy(
-        VertexMode.KIRCHHOFF,
-        (EndMode.TRANSPARENT, EndMode.TRANSPARENT),
-        kernel=BesselKernel.build(0.0, 0.04, 4),
-    )
-    f1 = build_initial_field(g, params, policy, x0=-1.0, sigma=0.2)
-    f1 = step(f1, g, params, policy)
-    fresh = build_initial_field(g, params, policy, x0=-1.0, sigma=0.2)
-    with pytest.raises(ValueError, match="policies cannot be shared between runs"):
-        step(fresh, g, params, policy)
+# ---------------------------------------------------------- boundary histories
+
+
+def open_runs():
+    """Transparent-end line and transparent-vertex star, each with a policy."""
+    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=60)
+    line = line_graph(length=2.0, dx=0.05)
+    star = build_star_graph([(a, 2.0, 0.05) for a in (1.0, 1.0, 1.0)])
+    return params, [
+        (line, lambda: BoundaryPolicy(
+            VertexMode.KIRCHHOFF, (EndMode.TRANSPARENT,) * 2,
+            BesselKernel.build(0.3, 0.04, 60),
+        )),
+        (star, lambda: BoundaryPolicy(
+            VertexMode.TRANSPARENT, (EndMode.TRANSPARENT,) + (EndMode.DIRICHLET,) * 2,
+            BesselKernel.build(0.3, 0.04, 60),
+        )),
+    ]
+
+
+def test_one_policy_serves_interleaved_runs():
+    params, runs = open_runs()
+    for graph, make_policy in runs:
+        shared = make_policy()
+        starts = (-1.5, -0.9)
+        together = [
+            build_initial_field(graph, params, shared, x0=x, sigma=0.2)
+            for x in starts
+        ]
+        for _ in range(60):
+            together = [step(f, graph, params, shared) for f in together]
+        for x, joint in zip(starts, together):
+            own = make_policy()
+            alone = build_initial_field(graph, params, own, x0=x, sigma=0.2)
+            for _ in range(60):
+                alone = step(alone, graph, params, own)
+            for a, b in zip(joint.phi + joint.chi, alone.phi + alone.chi):
+                assert np.array_equal(a, b)
+            assert sorted(joint.histories) == sorted(alone.histories)
+            for key, h in joint.histories.items():
+                assert np.array_equal(h[:], alone.histories[key][:])
+
+
+def test_stepping_a_field_twice_is_rejected():
+    params, runs = open_runs()
+    for (graph, make_policy), key in zip(runs, ("end1", "vertex")):
+        policy = make_policy()
+        field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+        step(field, graph, params, policy)
+        with pytest.raises(
+            ValueError, match=rf"history '{key}' has 1 entries at time level 0"
+        ):
+            step(field, graph, params, policy)
+
+
+def test_copied_field_steps_on_its_own():
+    params, runs = open_runs()
+    for graph, make_policy in runs:
+        policy = make_policy()
+        field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+        for _ in range(20):
+            field = step(field, graph, params, policy)
+        twin = field.copy()
+        for _ in range(40):
+            field = step(field, graph, params, policy)
+            twin = step(twin, graph, params, policy)
+        for a, b in zip(field.phi + field.chi, twin.phi + twin.chi):
+            assert np.array_equal(a, b)
+        assert all(len(h) == 60 for h in twin.histories.values())
 
 
 # ------------------------------------------------------------------ run loop
