@@ -20,6 +20,7 @@ __all__ = ["bessel_i0", "bessel_i1", "BesselKernel"]
 
 _SERIES_CUTOFF = 15.0
 _EPS = 2.220446049250313e-16
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def _i0_series(z: float) -> float:
@@ -108,19 +109,22 @@ class BesselKernel:
     ``samples[k] = I0(m k dt)`` and ``i1_samples[k] = I1(m k dt)`` for
     k = 0..n_steps.  ``conv_weights`` holds the combination
     ``m I1(m k dt) + i m I0(m k dt)`` that multiplies the boundary history
-    in the discrete transparent boundary relation.  Immutable; one instance
-    may be shared by any number of simulations.
+    in the discrete transparent boundary relation, a reversed view of the
+    contiguous ``reversed_weights``, whose slices the convolutions read.
+    Immutable; one instance may be shared by any number of simulations.
     """
 
     mass: float
     dt: float
     samples: np.ndarray
     i1_samples: np.ndarray
+    reversed_weights: np.ndarray = field(init=False, repr=False)
     conv_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        weights = self.mass * self.i1_samples + 1j * self.mass * self.samples
-        object.__setattr__(self, "conv_weights", weights)
+        rev = self.mass * self.i1_samples[::-1] + 1j * self.mass * self.samples[::-1]
+        object.__setattr__(self, "reversed_weights", rev)
+        object.__setattr__(self, "conv_weights", rev[::-1])
 
     @classmethod
     def build(cls, mass: float, dt: float, n_steps: int) -> "BesselKernel":
@@ -130,6 +134,14 @@ class BesselKernel:
             raise ValueError(f"dt must be positive, got {dt}")
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+        # the largest weight, m I0(m dt n_steps), is below m exp(m dt n_steps)
+        limit = _LOG_MAX - float(np.log(max(mass, 1.0)))
+        if mass * dt * n_steps > limit:
+            raise ValueError(
+                f"kernel overflows: mass {mass!r}, dt {dt!r} and n_steps "
+                f"{n_steps} give m*dt*n_steps = {mass * dt * n_steps:g}, but "
+                f"the weights m I0, m I1 leave the float range beyond {limit:.2f}"
+            )
         z = mass * dt * np.arange(n_steps + 1)
         i0 = np.array([bessel_i0(v) for v in z])
         i1 = np.array([bessel_i1(v) for v in z])

@@ -76,8 +76,9 @@ def vertex_tbc_factor(alphas: Sequence[float]) -> float:
 class _History:
     """Boundary values in a complex numpy array that doubles when full.
 
-    Indexing sees the filled part only; a slice is a view, so the
-    convolution reads the history without copying it.
+    The first value is stored halved, taking the trapezoid's half weight
+    off the kernel (exact above 2^-1021, so the sums round the same).
+    Indexing sees the filled part only; a slice is a view, read as is.
     """
 
     _CAPACITY = 64
@@ -89,7 +90,7 @@ class _History:
     def append(self, value: complex) -> None:
         if self._size == len(self._data):
             self._data = np.concatenate((self._data, np.empty_like(self._data)))
-        self._data[self._size] = value
+        self._data[self._size] = value if self._size else 0.5 * value
         self._size += 1
 
     def __len__(self) -> int:
@@ -99,26 +100,19 @@ class _History:
         return self._data[: self._size][index]
 
 
-def _history_convolution(
-    past: Sequence[complex], kernel: BesselKernel, level: int
-) -> complex:
+def _history_convolution(past: _History, kernel: BesselKernel, level: int) -> complex:
     """Trapezoid convolution over the strictly-past history entries.
 
-    ``past`` holds the boundary values at levels 0..level-1.  Returns
-    dt * (g_level h_0 / 2 + sum_{k=1}^{level-1} g_{level-k} h_k) where g are
-    the kernel convolution weights; zero at level 0 (empty time interval).
+    ``past`` holds the boundary values at levels 0..level-1, the first one
+    halved.  Returns dt * (g_level h_0 / 2 + sum_{k=1}^{level-1} g_{level-k}
+    h_k) where g are the kernel convolution weights; zero at level 0 (empty
+    time interval).
     """
-    if level == 0:
-        return 0.0 + 0.0j
-    if level > len(kernel.conv_weights) - 1:
-        raise MissingHistoryError(
-            f"kernel covers {len(kernel.conv_weights) - 1} steps, "
-            f"level {level} requested"
-        )
-    h = np.asarray(past[:level], dtype=complex)
-    g = kernel.conv_weights[level:0:-1].copy()
-    g[0] *= 0.5
-    return complex(kernel.dt * np.dot(g, h))
+    n = len(kernel.reversed_weights) - 1
+    if level > n:
+        raise MissingHistoryError(f"kernel covers {n} steps, level {level} requested")
+    g = kernel.reversed_weights[n - level : n]
+    return complex(kernel.dt * np.dot(g, past[:level]))
 
 
 def _endpoint_coefficient(kernel: BesselKernel, level: int) -> complex:

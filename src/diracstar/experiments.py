@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundaries import vertex_tbc_factor
+from .boundaries import BoundaryPolicy, vertex_tbc_factor
 from .config import ExperimentConfig
 from .graph import sum_rule_residual
 from .solver import RunResult, run
@@ -131,8 +131,8 @@ def run_experiment(
         raise
 
 
-def _sweep_point(config: ExperimentConfig, value: float) -> float:
-    result = run(config.with_alpha1(value))
+def _sweep_point(config: ExperimentConfig, value: float, policy: BoundaryPolicy) -> float:
+    result = run(config.with_alpha1(value), policy)
     return result.records[-1].reflection
 
 
@@ -155,12 +155,13 @@ def sweep_alpha1(
         raise ValueError("alpha1 sweep range must be positive")
     out = _resolve_out_dir(config, out_dir)
 
+    policy = config.build_policy()  # alpha1 changes neither modes nor kernel
     values = np.linspace(start, stop, points)
     reflections: list[float] = [float("nan")] * points
     failures: list[dict] = []
     for i in range(points):
         try:
-            reflections[i] = _sweep_point(config, float(values[i]))
+            reflections[i] = _sweep_point(config, float(values[i]), policy)
         except Exception as exc:  # recorded, sweep continues
             failures.append(
                 {"index": i, "alpha1": float(values[i]),

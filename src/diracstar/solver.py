@@ -296,10 +296,9 @@ def _solve_tbc_node(
     Combines the convolution relation for chi at the boundary with the
     half-cell update of the boundary phi node; the newest boundary value
     enters its own convolution through the trapezoid endpoint, so the two
-    relations reduce to one linear equation for the new phi value.
-    ``history`` is the boundary's numpy-backed buffer of past values (any
-    sequence with ``append``, ``len`` and slicing will do); the new entry
-    is appended to it.
+    relations reduce to one linear equation for the new phi value.  The
+    new entry is appended to ``history``, which stores its first entry
+    halved: the trapezoid's half weight on the oldest value.
     """
     lam = params.courant
     beta = 0.5j * params.mass * params.dt
@@ -314,6 +313,15 @@ def _solve_tbc_node(
     p = numer / denom
     history.append(0.5 * (p + q))
     return p
+
+
+def _stencil(out, num, old, lam, other, den, diff) -> None:
+    """out = (num * old - lam * (other[1:] - other[:-1])) / den, op by op."""
+    np.subtract(other[1:], other[:-1], out=diff)
+    np.multiply(lam, diff, out=diff)
+    np.multiply(num, old, out=out)
+    np.subtract(out, diff, out=out)
+    np.divide(out, den, out=out)
 
 
 def _history(field: SpinorField, key: str) -> _History:
@@ -358,9 +366,11 @@ def step(
     if not interior_only and field.n_bonds != graph.n_bonds:
         raise ValueError("field does not cover the full graph")
 
-    new_phi = [p.copy() for p in field.phi]
-    for p, old, c in zip(new_phi, field.phi, field.chi):
-        p[1:-1] = (cm * old[1:-1] - lam * (c[1:] - c[:-1])) / cp
+    new_phi = [np.empty_like(p) for p in field.phi]
+    new_chi = [np.empty_like(c) for c in field.chi]
+    scratch = [np.empty_like(c) for c in field.chi]
+    for p, old, c, d in zip(new_phi, field.phi, field.chi, scratch):
+        _stencil(p[1:-1], cm, old[1:-1], lam, c, cp, d[:-1])
 
     # vertex end
     if interior_only:
@@ -404,10 +414,8 @@ def step(
             right_end=right_end,
         )
 
-    new_chi = [
-        (cp * c - lam * (p[1:] - p[:-1])) / cm
-        for p, c in zip(new_phi, field.chi)
-    ]
+    for c_new, c, p, d in zip(new_chi, field.chi, new_phi, scratch):
+        _stencil(c_new, cp, c, lam, p, cm, d)
 
     out = SpinorField(
         field.bonds, new_phi, new_chi, level + 1, field.initial_max,
@@ -492,20 +500,22 @@ class RunResult:
     field: SpinorField
 
 
-def run(config: "ExperimentConfig") -> RunResult:
+def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> RunResult:
     """Execute one configured simulation and collect diagnostics.
 
     Samples a diagnostics record at t = 0, every ``sample_every`` steps and
     at the final step; node-resolved snapshots are taken at the steps
     nearest to the configured times and labelled with the sampled time
-    n dt.  Step instability propagates.
+    n dt.  ``policy`` defaults to ``config.build_policy()``; runs with the
+    same boundary modes, mass, dt and n_steps may share one.  Step
+    instability propagates.
     """
     from .diagnostics import compute_record, node_profile
 
     config.validate()
     graph = config.build_graph()
     params = config.sim_params()
-    policy = config.build_policy()
+    policy = policy or config.build_policy()
     field = build_initial_field(
         graph,
         params,

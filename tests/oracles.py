@@ -175,3 +175,27 @@ def bessel_series_reference(z: float, terms: int = 200) -> BesselSeriesValue:
             )
         bound = next_term / (1 - ratio)
         return BesselSeriesValue(float(total), float(bound))
+
+
+def leapfrog_interior(old_phi, old_chi, new_phi, lam, cp, cm):
+    """Expression form of one bond's interior leap-frog update.
+
+    Returns the new interior phi from the old fields and the new chi from
+    the new phi (whose end nodes the boundary conditions set).  The stepper
+    must reproduce these bits exactly: it may reorder nothing, so for
+    example ``(cm / cp) * old`` in place of ``cm * old / cp`` fails.
+    """
+    phi = (cm * old_phi[1:-1] - lam * (old_chi[1:] - old_chi[:-1])) / cp
+    chi = (cp * old_chi - lam * (new_phi[1:] - new_phi[:-1])) / cm
+    return phi, chi
+
+
+def trapezoid_convolution(values, conv_weights, dt: float, level: int) -> complex:
+    """dt (g_level h_0 / 2 + sum_{k=1}^{level-1} g_{level-k} h_k), the half
+    weight put on a copy of the kernel side; ``values`` are the boundary
+    values h_0.. as the node update computes them (h_0 not halved)."""
+    if level == 0:
+        return 0.0 + 0.0j
+    g = np.asarray(conv_weights)[level:0:-1].copy()
+    g[0] *= 0.5
+    return complex(dt * np.dot(g, np.asarray(values[:level], dtype=complex)))

@@ -77,3 +77,24 @@ def test_kernel_build_validation():
         BesselKernel.build(-0.1, 0.01, 10)
     with pytest.raises(ValueError):
         BesselKernel.build(0.1, 0.0, 10)
+
+
+def test_kernel_overflow_rejected_before_sampling(monkeypatch):
+    # m dt k passes log(max float) = 709.78 at k = 4732 of 12000: the samples
+    # would be inf, and the run would fail later as a "non-finite field value"
+    import diracstar.bessel as bessel_module
+
+    calls = []
+    monkeypatch.setattr(bessel_module, "bessel_i0", lambda z: calls.append(z) or 1.0)
+    monkeypatch.setattr(bessel_module, "bessel_i1", lambda z: calls.append(z) or 0.0)
+    named = r"mass 3\.0, dt 0\.05 and n_steps 12000 give m\*dt\*n_steps = 1800"
+    with pytest.raises(ValueError, match=named):
+        BesselKernel.build(3.0, 0.05, 12000)
+    assert calls == []
+    monkeypatch.undo()
+    # just inside the range every weight is finite
+    for mass, dt, n_steps in ((1.0, 0.1, 7097), (100.0, 0.01, 705)):
+        kernel = BesselKernel.build(mass, dt, n_steps)
+        assert np.all(np.isfinite(kernel.conv_weights))
+    with pytest.raises(ValueError, match="kernel overflows"):
+        BesselKernel.build(100.0, 0.01, 706)

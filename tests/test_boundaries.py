@@ -23,6 +23,7 @@ from diracstar.boundaries import (
 from diracstar.solver import _solve_tbc_node, _vertex_shared_value
 
 from .conftest import CANONICAL_ALPHAS
+from .oracles import trapezoid_convolution
 
 MASSLESS = SimParams(mass=0.0, dt=0.01, dx=0.0125, n_steps=64)
 MASSIVE = SimParams(mass=0.3, dt=0.01, dx=0.0125, n_steps=64)
@@ -42,6 +43,13 @@ def random_history(rng, n):
     return list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+def buffer_of(values):
+    history = _History()
+    for v in values:
+        history.append(v)
+    return history
+
+
 def assert_local_relation(kernel, sign, factor, seed):
     """At m = 0 every transparent node obeys chi = sign * factor * phi.
 
@@ -50,7 +58,7 @@ def assert_local_relation(kernel, sign, factor, seed):
     """
     rng = np.random.default_rng(seed)
     lam = MASSLESS.courant
-    history: list[complex] = []
+    history = _History()
     for level in range(20):
         assert _endpoint_coefficient(kernel, level) == 1
         assert _history_convolution(history, kernel, level) == 0
@@ -63,7 +71,8 @@ def assert_local_relation(kernel, sign, factor, seed):
             1 + lam * factor
         )
         assert p == pytest.approx(expected, rel=1e-14, abs=0)
-        assert history[-1] == 0.5 * (p + q)
+        entry = 0.5 * (p + q)
+        assert history[-1] == (entry if level else 0.5 * entry)
 
 
 def test_massless_right_end_is_identity(kernel_massless):
@@ -80,7 +89,7 @@ def test_massless_vertex_scales_by_factor(kernel_massless):
 
 
 def test_zero_history_gives_zero(kernel_massive):
-    h = [0.0 + 0.0j] * 16
+    h = buffer_of([0.0 + 0.0j] * 16)
     for t in range(16):
         assert _history_convolution(h, kernel_massive, t) == 0.0
 
@@ -89,8 +98,7 @@ def test_left_end_is_minus_right_end(kernel_massive):
     # chi = -R[phi] at a left end: mirroring the adjacent chi gives the
     # right end's node value and history, bit-exactly
     rng = np.random.default_rng(11)
-    h_left: list[complex] = []
-    h_right: list[complex] = []
+    h_left, h_right = _History(), _History()
     for level in range(30):
         q, chi_adj = (complex(v) for v in random_history(rng, 2))
         left = _solve_tbc_node(
@@ -100,7 +108,7 @@ def test_left_end_is_minus_right_end(kernel_massive):
             q, -chi_adj, h_right, kernel_massive, level, MASSIVE, right_end=True
         )
         assert left == right
-    assert h_left == h_right
+    assert np.array_equal(h_left[:], h_right[:])
 
 
 def test_history_linearity(kernel_massive):
@@ -108,11 +116,11 @@ def test_history_linearity(kernel_massive):
     h1 = np.array(random_history(rng, 25))
     h2 = np.array(random_history(rng, 25))
     a, b = 0.7 - 0.2j, -1.3 + 0.8j
-    combined = list(a * h1 + b * h2)
+    combined = buffer_of(a * h1 + b * h2)
     for t in (0, 1, 10, 24):
         lhs = _history_convolution(combined, kernel_massive, t)
-        rhs = a * _history_convolution(list(h1), kernel_massive, t) + \
-            b * _history_convolution(list(h2), kernel_massive, t)
+        rhs = a * _history_convolution(buffer_of(h1), kernel_massive, t) + \
+            b * _history_convolution(buffer_of(h2), kernel_massive, t)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -132,46 +140,36 @@ def test_missing_history_signalled():
         step(field, line, params, policy)
 
 
-def test_history_buffer_matches_list(kernel_massive):
-    # past the initial capacity, so the buffer has grown at least twice
+def test_history_buffer_matches_list():
+    # past the initial capacity, so the buffer has grown at least twice; it
+    # keeps the appended values, the first one halved
     rng = np.random.default_rng(13)
     n = 3 * _History._CAPACITY + 5
     values = random_history(rng, n)
-    buf = _History()
-    for v in values:
-        buf.append(v)
+    buf = buffer_of(values)
+    stored = [0.5 * values[0]] + values[1:]
     assert len(buf) == n
     for start, stop, stride in ((None, None, None), (0, 1, None), (None, -1, None),
                                 (5, n - 7, 3), (-20, None, 2), (None, None, -1)):
         sl = slice(start, stop, stride)
-        assert list(buf[sl]) == values[sl]
-    assert buf[-1] == values[-1] and buf[0] == values[0]
-    for level in range(len(kernel_massive.conv_weights)):
-        assert _history_convolution(buf, kernel_massive, level) == \
-            _history_convolution(values, kernel_massive, level)
+        assert list(buf[sl]) == stored[sl]
+    assert buf[-1] == values[-1] and buf[0] == 0.5 * values[0]
 
 
-def test_list_histories_step_bit_identically():
-    # the buffer stores exactly what a list of complex would
-    line = build_star_graph([(1.0, 2.0, 0.05), (1.0, 2.0, 0.05)])
-    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=150)
-    kernel = BesselKernel.build(0.3, 0.04, 150)
-    fields = []
-    policy = BoundaryPolicy(
-        VertexMode.KIRCHHOFF, (EndMode.TRANSPARENT,) * 2, kernel
-    )
-    for seeded in (False, True):
-        field = build_initial_field(line, params, policy, x0=-1.0, sigma=0.2)
-        if seeded:
-            field.histories["end1"] = []
-            field.histories["end2"] = []
-        for _ in range(150):
-            field = step(field, line, params, policy)
-        assert isinstance(field.histories["end1"], list) == seeded
-        fields.append(field)
-    buffered, listed = fields
-    for a, b in zip(buffered.phi + buffered.chi, listed.phi + listed.chi):
-        assert np.array_equal(a, b)
+def test_convolution_rounds_as_the_copied_half_weight():
+    # the half weight on h_0 instead of on a copy of g_level: the same bits
+    # at every level, also for values spread over 600 decades
+    kernel = BesselKernel.build(0.3, 0.01, 2000)
+    assert np.shares_memory(kernel.conv_weights, kernel.reversed_weights)
+    rng = np.random.default_rng(14)
+    plain = np.array(random_history(rng, 2000))
+    spread = plain * 10.0 ** rng.uniform(-300, 300, 2000)
+    for values in (plain, spread):
+        buf = buffer_of(values)
+        for level in range(2001):
+            assert _history_convolution(buf, kernel, level) == trapezoid_convolution(
+                values, kernel.conv_weights, kernel.dt, level
+            )
 
 
 def test_vertex_factor_values():

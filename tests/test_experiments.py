@@ -6,6 +6,7 @@ import pytest
 
 import diracstar.experiments as experiments_module
 from diracstar import (
+    BesselKernel,
     InstabilityError,
     load_config,
     run,
@@ -204,10 +205,10 @@ def test_sweep_records_failures(fast_config, tmp_path, monkeypatch):
 
     real = exp._sweep_point
 
-    def flaky(config, value):
+    def flaky(config, value, policy):
         if value < 0.5:
             raise RuntimeError("diverged")
-        return real(config, value)
+        return real(config, value, policy)
 
     monkeypatch.setattr(exp, "_sweep_point", flaky)
     summary = sweep_alpha1(fast_config, 0.4, 1.4, 3, tmp_path)
@@ -217,6 +218,27 @@ def test_sweep_records_failures(fast_config, tmp_path, monkeypatch):
     assert len(rows) == 4  # header + one row per point, failed one included
     assert "nan" in rows[1]
     assert "argmin_alpha1" in summary
+
+
+def test_sweep_builds_one_kernel(tmp_path, monkeypatch):
+    # alpha1 changes neither the boundary modes nor the kernel, so one
+    # policy serves every point, each still its own run
+    calls, runs = [], []
+    real, real_run = BesselKernel.build, experiments_module.run
+    monkeypatch.setattr(
+        BesselKernel, "build", lambda *args: calls.append(args) or real(*args)
+    )
+    monkeypatch.setattr(
+        experiments_module, "run", lambda *args: runs.append(args) or real_run(*args)
+    )
+    config = replace(
+        load_config(CONFIG_DIR / "open_line.cfg"),
+        dx=0.05, dt=0.04, n_steps=20, snapshot_times=(),
+    )
+    summary = sweep_alpha1(config, 0.8, 1.2, 3, tmp_path)
+    assert summary["failures"] == []
+    assert calls == [(0.01, 0.04, 20)]
+    assert len(runs) == 3 and all(policy is runs[0][1] for _, policy in runs)
 
 
 # ------------------------------------------------------------------------ CLI
@@ -271,10 +293,10 @@ def test_cli_sweep_range_from_config(tmp_path, monkeypatch):
     # a failed point sets the exit code by its cause
     real = experiments_module._sweep_point
     for error, code in ((InstabilityError("grew"), 3), (ValueError("bad"), 2)):
-        def flaky(config, value, error=error):
+        def flaky(config, value, policy, error=error):
             if value > 0.9:
                 raise error
-            return real(config, value)
+            return real(config, value, policy)
 
         monkeypatch.setattr(experiments_module, "_sweep_point", flaky)
         assert main(argv) == code

@@ -3,11 +3,15 @@
 Each example draws a bond count N in 2..6, a vertex mode and two different
 weight vectors in [0.3, 3]^N, and steps both graphs in lockstep in one
 process, so vertex constants carried over from another graph show up.
+The stencil test draws one star per vertex mode, with random end modes,
+and checks each step against the expression form in ``oracles``.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracstar import (
+    BesselKernel,
     BoundaryPolicy,
     EndMode,
     SimParams,
@@ -19,6 +23,7 @@ from diracstar import (
     step,
 )
 
+from .oracles import leapfrog_interior
 from .test_boundaries import vertex_values
 
 PARAMS = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=50)
@@ -96,3 +101,36 @@ def test_random_star_step_is_linear(pair, seed):
             f1, f2, mixed = (step(f, graph, PARAMS, policy) for f in (f1, f2, mixed))
         for lhs, u, v in zip(mixed.phi + mixed.chi, f1.phi + f1.chi, f2.phi + f2.chi):
             np.testing.assert_allclose(lhs, a * u + b * v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(VertexMode))
+@settings(max_examples=4, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n),
+        st.lists(st.sampled_from(list(EndMode)), min_size=n, max_size=n),
+    ))
+)
+def test_random_star_step_is_the_expression_stencil(mode, star):
+    # the in-place stencil gives the expression's bits, reads its input
+    # field without writing to it, and shares no array with it
+    alphas, ends = star
+    graph = build_star_graph([(a, 2.0, 0.05) for a in alphas])
+    kernel = BesselKernel.build(PARAMS.mass, PARAMS.dt, PARAMS.n_steps)
+    policy = BoundaryPolicy(mode, ends, kernel)
+    field = packet(graph, policy)
+    cp = 1.0 + 0.5j * PARAMS.mass * PARAMS.dt
+    cm = 1.0 - 0.5j * PARAMS.mass * PARAMS.dt
+    for _ in range(PARAMS.n_steps):
+        before = [a.tobytes() for a in field.phi + field.chi]
+        new = step(field, graph, PARAMS, policy)
+        assert [a.tobytes() for a in field.phi + field.chi] == before
+        for a in new.phi + new.chi:
+            assert not any(np.shares_memory(a, b) for b in field.phi + field.chi)
+        for old_phi, old_chi, phi, chi in zip(field.phi, field.chi, new.phi, new.chi):
+            want_phi, want_chi = leapfrog_interior(
+                old_phi, old_chi, phi, PARAMS.courant, cp, cm
+            )
+            assert np.array_equal(phi[1:-1], want_phi)
+            assert np.array_equal(chi, want_chi)
+        field = new
