@@ -102,6 +102,19 @@ def bessel_i1(z: float) -> float:
     return _iv_asymptotic(1, z)
 
 
+def kernel_overflow(mass: float, dt: float, n_steps: int) -> str | None:
+    """Why the kernel weights up to ``n_steps`` leave the float range, or None."""
+    # the largest weight, m I0(m dt n_steps), is below m exp(m dt n_steps)
+    limit = _LOG_MAX - float(np.log(max(mass, 1.0)))
+    if mass * dt * n_steps <= limit:
+        return None
+    return (
+        f"kernel overflows: mass {mass!r}, dt {dt!r} and n_steps {n_steps} "
+        f"give m*dt*n_steps = {mass * dt * n_steps:g}, but the weights "
+        f"m I0, m I1 leave the float range beyond {limit:.2f}"
+    )
+
+
 @dataclass(frozen=True)
 class BesselKernel:
     """Kernel samples for the boundary convolutions on a fixed time grid.
@@ -134,14 +147,8 @@ class BesselKernel:
             raise ValueError(f"dt must be positive, got {dt}")
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-        # the largest weight, m I0(m dt n_steps), is below m exp(m dt n_steps)
-        limit = _LOG_MAX - float(np.log(max(mass, 1.0)))
-        if mass * dt * n_steps > limit:
-            raise ValueError(
-                f"kernel overflows: mass {mass!r}, dt {dt!r} and n_steps "
-                f"{n_steps} give m*dt*n_steps = {mass * dt * n_steps:g}, but "
-                f"the weights m I0, m I1 leave the float range beyond {limit:.2f}"
-            )
+        if overflow := kernel_overflow(mass, dt, n_steps):
+            raise ValueError(overflow)
         z = mass * dt * np.arange(n_steps + 1)
         i0 = np.array([bessel_i0(v) for v in z])
         i1 = np.array([bessel_i1(v) for v in z])

@@ -21,7 +21,7 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .bessel import BesselKernel
+from .bessel import BesselKernel, kernel_overflow
 from .boundaries import BoundaryPolicy, EndMode, VertexMode
 from .graph import StarGraph, build_star_graph
 from .solver import SimParams
@@ -100,6 +100,9 @@ class ExperimentConfig:
                     f"[bond {j}] end_mode = transparent has no effect: a "
                     "transparent vertex simulates bond 1 only"
                 )
+        if "transparent" in (self.vertex_mode, *ends):
+            if overflow := kernel_overflow(self.mass, self.dt, self.n_steps):
+                raise ConfigError(f"[simulation] {overflow}")
         if not 1 <= self.source_bond <= n:
             raise ConfigError(
                 f"[initial] bond must be in 1..{n}, got {self.source_bond}"

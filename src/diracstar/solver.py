@@ -315,13 +315,34 @@ def _solve_tbc_node(
     return p
 
 
-def _stencil(out, num, old, lam, other, den, diff) -> None:
-    """out = (num * old - lam * (other[1:] - other[:-1])) / den, op by op."""
+def _divisor(den: complex) -> tuple[complex, float | None]:
+    """(1 - i rat, scl): numpy's x / den is (1 - i rat) x scl, with both
+    recomputed per element, while |Re den| >= |Im den| (m dt <= 2); there
+    rat = Im den / Re den, scl = 1 / (Re den + Im den rat).  Else (den, None)."""
+    if abs(den.imag) > abs(den.real):
+        return den, None
+    rat = den.imag / den.real
+    return complex(1.0, -rat), 1.0 / (den.real + den.imag * rat)
+
+
+def _divide(out: np.ndarray, divisor: tuple[complex, float | None]) -> None:
+    """out /= den with np.divide's bits, given ``divisor = _divisor(den)``."""
+    w, scl = divisor
+    if scl is None:
+        np.divide(out, w, out=out)
+    else:
+        np.multiply(w, out, out=out)  # w first: out * w rounds differently
+        np.multiply(out.view(float), scl, out=out.view(float))
+
+
+def _stencil(out, num, old, lam, other, divisor, diff) -> None:
+    """out = (num * old - lam * (other[1:] - other[:-1])) / den, op by op,
+    with ``divisor = _divisor(den)``."""
     np.subtract(other[1:], other[:-1], out=diff)
     np.multiply(lam, diff, out=diff)
     np.multiply(num, old, out=out)
     np.subtract(out, diff, out=out)
-    np.divide(out, den, out=out)
+    _divide(out, divisor)
 
 
 def _history(field: SpinorField, key: str) -> _History:
@@ -356,6 +377,7 @@ def step(
     lam = params.courant
     cp = 1.0 + 0.5j * params.mass * params.dt
     cm = 1.0 - 0.5j * params.mass * params.dt
+    by_cp, by_cm = _divisor(cp), _divisor(cm)
     level = field.time_level
     interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
     if interior_only and field.n_bonds != 1:
@@ -370,7 +392,7 @@ def step(
     new_chi = [np.empty_like(c) for c in field.chi]
     scratch = [np.empty_like(c) for c in field.chi]
     for p, old, c, d in zip(new_phi, field.phi, field.chi, scratch):
-        _stencil(p[1:-1], cm, old[1:-1], lam, c, cp, d[:-1])
+        _stencil(p[1:-1], cm, old[1:-1], lam, c, by_cp, d[:-1])
 
     # vertex end
     if interior_only:
@@ -415,7 +437,7 @@ def step(
         )
 
     for c_new, c, p, d in zip(new_chi, field.chi, new_phi, scratch):
-        _stencil(c_new, cp, c, lam, p, cm, d)
+        _stencil(c_new, cp, c, lam, p, by_cm, d)
 
     out = SpinorField(
         field.bonds, new_phi, new_chi, level + 1, field.initial_max,

@@ -193,6 +193,29 @@ def test_transparent_vertex_rejects_unread_end_modes():
             replace(cfg, end_modes=tuple(ends)).validate()
 
 
+def test_overflowing_kernel_rejected_by_validate():
+    # m dt n_steps = 720: the kernel weights would leave the float range, so
+    # validate rejects the config before any run builds the kernel
+    named = (
+        r"kernel overflows: mass 6\.0, dt 0\.01 and n_steps 12000 give "
+        r"m\*dt\*n_steps = 720"
+    )
+    line = replace(
+        load_config(CONFIG_DIR / "open_line.cfg"), mass=6.0, n_steps=12000
+    )
+    with pytest.raises(ConfigError, match=named):
+        line.validate()
+    star = replace(
+        load_config(CONFIG_DIR / "transparent_star.cfg"),
+        mass=6.0, n_steps=12000, vertex_mode="transparent",
+    )
+    with pytest.raises(ConfigError, match=named):
+        star.validate()
+    # without a transparent boundary there is no kernel to overflow
+    replace(line, end_modes=("dirichlet", "dirichlet")).validate()
+    replace(star, vertex_mode="weighted").validate()
+
+
 def test_run_builds_graph_twice(monkeypatch):
     # once to validate the config, once for the run
     cfg = replace(

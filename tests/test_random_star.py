@@ -6,6 +6,8 @@ process, so vertex constants carried over from another graph show up.
 The stencil test draws one star per vertex mode, with random end modes,
 and checks each step against the expression form in ``oracles``.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,9 +47,9 @@ def closed_star(alphas, mode):
     return graph, policy
 
 
-def packet(graph, policy):
+def packet(graph, policy, params=PARAMS):
     # reaches the vertex at t ~ 1, half way through the 50 steps
-    return build_initial_field(graph, PARAMS, policy, x0=-1.0, sigma=0.2)
+    return build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
 
 
 def effective_weights(alphas, mode):
@@ -103,7 +105,17 @@ def test_random_star_step_is_linear(pair, seed):
             np.testing.assert_allclose(lhs, a * u + b * v, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", list(VertexMode))
+# m dt = 0.012 and 2.4: numpy divides by cp and cm on either of its branches.
+# At m = 60 today's I kernel (ROADMAP item 1) drives transparent boundaries
+# past the overflow guard from step 12 on, so that case takes 10 steps.
+@pytest.mark.parametrize(
+    "params, mode",
+    [pytest.param(PARAMS, m, id=str(m)) for m in VertexMode]
+    + [
+        pytest.param(replace(PARAMS, mass=60.0, n_steps=10), m, id=f"{m}-m60")
+        for m in VertexMode
+    ],
+)
 @settings(max_examples=4, deadline=None)
 @given(
     st.integers(2, 6).flatmap(lambda n: st.tuples(
@@ -111,26 +123,27 @@ def test_random_star_step_is_linear(pair, seed):
         st.lists(st.sampled_from(list(EndMode)), min_size=n, max_size=n),
     ))
 )
-def test_random_star_step_is_the_expression_stencil(mode, star):
-    # the in-place stencil gives the expression's bits, reads its input
-    # field without writing to it, and shares no array with it
+def test_random_star_step_is_the_expression_stencil(params, mode, star):
+    # the in-place stencil gives the expression's bits, signed zeros
+    # included, reads its input field without writing to it, and shares no
+    # array with it
     alphas, ends = star
     graph = build_star_graph([(a, 2.0, 0.05) for a in alphas])
-    kernel = BesselKernel.build(PARAMS.mass, PARAMS.dt, PARAMS.n_steps)
+    kernel = BesselKernel.build(params.mass, params.dt, params.n_steps)
     policy = BoundaryPolicy(mode, ends, kernel)
-    field = packet(graph, policy)
-    cp = 1.0 + 0.5j * PARAMS.mass * PARAMS.dt
-    cm = 1.0 - 0.5j * PARAMS.mass * PARAMS.dt
-    for _ in range(PARAMS.n_steps):
+    field = packet(graph, policy, params)
+    cp = 1.0 + 0.5j * params.mass * params.dt
+    cm = 1.0 - 0.5j * params.mass * params.dt
+    for _ in range(params.n_steps):
         before = [a.tobytes() for a in field.phi + field.chi]
-        new = step(field, graph, PARAMS, policy)
+        new = step(field, graph, params, policy)
         assert [a.tobytes() for a in field.phi + field.chi] == before
         for a in new.phi + new.chi:
             assert not any(np.shares_memory(a, b) for b in field.phi + field.chi)
         for old_phi, old_chi, phi, chi in zip(field.phi, field.chi, new.phi, new.chi):
             want_phi, want_chi = leapfrog_interior(
-                old_phi, old_chi, phi, PARAMS.courant, cp, cm
+                old_phi, old_chi, phi, params.courant, cp, cm
             )
-            assert np.array_equal(phi[1:-1], want_phi)
-            assert np.array_equal(chi, want_chi)
+            assert phi[1:-1].tobytes() == want_phi.tobytes()
+            assert chi.tobytes() == want_chi.tobytes()
         field = new

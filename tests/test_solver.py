@@ -23,7 +23,7 @@ from diracstar import (
     total_norm,
 )
 from diracstar.config import ExperimentConfig
-from diracstar.solver import OVERFLOW_FACTOR, _check_stability
+from diracstar.solver import OVERFLOW_FACTOR, _check_stability, _divide, _divisor
 
 from .conftest import CANONICAL_ALPHAS
 from .oracles import gaussian
@@ -503,3 +503,27 @@ def test_run_rejects_cfl_violation():
     bad = replace(zero_steps_config(), n_steps=100, dt=0.025)
     with pytest.raises(ValueError, match="CFL"):
         run(bad)
+
+
+@pytest.mark.parametrize("m_dt", [0.0, 1e-4, 0.012, 1.9, 2.0, 2.4, 10.0])
+def test_stencil_division_is_numpys_bit_for_bit(m_dt):
+    # the stepper's in-place division by cp and cm gives np.divide's bits,
+    # signed zeros included, on both sides of numpy's branch at m dt = 2,
+    # on whole arrays and on the offset slices the phi stencil writes; the
+    # operand order of the multiply matters where numpy's loop uses FMA
+    rng = np.random.default_rng(2020)
+    special = [0.0, -0.0, 5e-324, -4.9e-322, 2.2e-308, -1e-300, 1e300, -1.7e300]
+    for den in (1.0 + 0.5j * m_dt, 1.0 - 0.5j * m_dt):
+        divisor = _divisor(den)
+        for n in (1, 2, 3, 8, 67, 1000, 1001):
+            for _ in range(8):
+                parts = rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(
+                    -300, 300, (n, 2)
+                )
+                picked = rng.random((n, 2)) < 0.2
+                parts[picked] = rng.choice(special, np.count_nonzero(picked))
+                x = parts.view(complex)[:, 0]
+                want = np.divide(x, den)
+                for got in (x.copy(), np.concatenate(([1j], x, [1j]))[1:-1]):
+                    _divide(got, divisor)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
