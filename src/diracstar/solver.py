@@ -32,6 +32,7 @@ import copy
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -100,14 +101,21 @@ class SimParams:
 
 
 class SpinorField:
-    """Per-bond (phi, chi) arrays at one staggered time level.
+    """Per-bond (phi, chi) arrays at one staggered time level, packed.
+
+    ``phi_buf`` holds the nodes of every bond, bond after bond; ``chi_buf``
+    holds the cells, with one pad slot after each bond's last cell, so phi
+    node k and chi cell k share one offset and one stencil call covers all
+    bonds.  The pads stay +0.  ``phi`` and ``chi`` are tuples of per-bond
+    views into the buffers: write through them, never rebind them.  The
+    constructor copies the given per-bond arrays into new buffers.
 
     After n accepted steps the stored phi sits at t = (n - 1/2) dt and chi
     at t = n dt.  ``bonds`` is the simulated domain: all graph bonds, or
     just bond 1 for a transparent-vertex interior run.  ``histories`` maps
     each transparent boundary ('vertex', 'end<j>') to its past boundary
-    values, one per time level; ``step`` hands the buffers on to the new
-    field, so only the newest field of a run can be stepped.
+    values, one per time level; ``step`` hands these on to the new field,
+    so only the newest field of a run can be stepped.
     """
 
     def __init__(
@@ -127,20 +135,39 @@ class SpinorField:
                     f"bond {b.index}: need {b.cells + 1} phi and {b.cells} "
                     f"chi values, got {p.shape} and {c.shape}"
                 )
-        self.bonds = bonds
-        self.phi = phi
-        self.chi = chi
+        self._pack(bonds)
+        for view, a in zip(self.phi + self.chi, (*phi, *chi)):
+            view[:] = a
         self.time_level = time_level
-        if initial_max is None:
-            initial_max = self.max_abs()
-        self.initial_max = initial_max
+        self.initial_max = self.max_abs() if initial_max is None else initial_max
         self.histories = {} if histories is None else histories
+
+    def _pack(self, bonds: tuple[Bond, ...]) -> None:
+        """Lay the bonds out in two zero buffers and view them."""
+        self.bonds = bonds
+        ends = list(accumulate(b.cells + 1 for b in bonds))
+        self._pads = np.subtract(ends, 1)
+        self._cuts = [(slice(a, z), slice(a, z - 1)) for a, z in zip([0, *ends], ends)]
+        self._view(np.zeros(ends[-1], complex), np.zeros(ends[-1], complex))
+
+    def _view(self, phi_buf: np.ndarray, chi_buf: np.ndarray) -> None:
+        self.phi_buf, self.chi_buf = phi_buf, chi_buf
+        self.phi = tuple(phi_buf[p] for p, _ in self._cuts)
+        self.chi = tuple(chi_buf[c] for _, c in self._cuts)
+
+    def _on(self, phi_buf, chi_buf, time_level, histories) -> "SpinorField":
+        """This layout and initial maximum on the given buffers, unchecked."""
+        out = object.__new__(SpinorField)
+        out.__dict__.update(vars(self), time_level=time_level, histories=histories)
+        out._view(phi_buf, chi_buf)
+        return out
 
     @classmethod
     def zeros(cls, bonds: tuple[Bond, ...]) -> "SpinorField":
-        phi = [np.zeros(b.cells + 1, dtype=complex) for b in bonds]
-        chi = [np.zeros(b.cells, dtype=complex) for b in bonds]
-        return cls(bonds, phi, chi, initial_max=0.0)
+        field = object.__new__(cls)
+        field._pack(bonds)
+        field.time_level, field.initial_max, field.histories = 0, 0.0, {}
+        return field
 
     @property
     def n_bonds(self) -> int:
@@ -148,21 +175,12 @@ class SpinorField:
 
     def max_abs(self) -> float:
         """Largest |value| of phi and chi; NaN if any value is NaN."""
-        peak = 0.0
-        for a in (*self.phi, *self.chi):
-            if a.size:
-                m = float(np.max(np.abs(a)))
-                if m > peak or m != m:  # a NaN peak sticks
-                    peak = m
-        return peak
+        peaks = (np.max(np.abs(self.phi_buf)), np.max(np.abs(self.chi_buf)))
+        return float(np.maximum(*peaks))  # a NaN peak sticks
 
     def copy(self) -> "SpinorField":
-        return SpinorField(
-            self.bonds,
-            [p.copy() for p in self.phi],
-            [c.copy() for c in self.chi],
-            self.time_level,
-            self.initial_max,
+        return self._on(
+            self.phi_buf.copy(), self.chi_buf.copy(), self.time_level,
             copy.deepcopy(self.histories),
         )
 
@@ -194,12 +212,13 @@ def gaussian_spinor(x0: float, sigma: float, bond: Bond) -> tuple[np.ndarray, np
 @lru_cache(maxsize=64)
 def _vertex_constants(
     alphas: tuple[float, ...], mode: VertexMode
-) -> tuple[np.ndarray, np.float64]:
-    """Effective vertex weights and W = sum_j a_j^-2; cached, so read-only."""
+) -> tuple[np.ndarray, np.float64, float | None]:
+    """Effective weights, W = sum_j a_j^-2, transparent factor A; read-only."""
     kirchhoff = mode is VertexMode.KIRCHHOFF
     effective = np.ones(len(alphas)) if kirchhoff else np.asarray(alphas, float)
     effective.flags.writeable = False
-    return effective, np.sum(1.0 / effective ** 2)
+    factor = vertex_tbc_factor(alphas) if mode is VertexMode.TRANSPARENT else None
+    return effective, np.sum(1.0 / effective ** 2), factor
 
 
 def _vertex_shared_value(
@@ -248,8 +267,8 @@ def build_initial_field(
     target = bonds[bond_index - 1]
     phi0, chi0 = gaussian_spinor(x0, sigma, target)
     b = bond_index - 1
-    field.phi[b] = amplitude * phi0
-    field.chi[b] = amplitude * chi0
+    field.phi[b][:] = amplitude * phi0
+    field.chi[b][:] = amplitude * chi0
 
     # phi(-dt/2) = phi0 + (dt/2)(d_x chi0 + i m phi0) at interior nodes
     for p, c in zip(field.phi, field.chi):
@@ -259,7 +278,7 @@ def build_initial_field(
     if policy.end_modes[0] is EndMode.DIRICHLET:
         field.phi[0][0] = 0.0
     if not interior_only:
-        alphas, w_all = _vertex_constants(graph.alphas, policy.vertex_mode)
+        alphas, w_all, _ = _vertex_constants(graph.alphas, policy.vertex_mode)
         shared = _vertex_shared_value(field, alphas, w_all)
         field.phi[0][-1] = shared / alphas[0]
         for j in range(1, field.n_bonds):
@@ -273,9 +292,8 @@ def build_initial_field(
         total = sum(partial_norm(field, j + 1, params) for j in range(field.n_bonds))
         if total > 0:
             scale = 1.0 / np.sqrt(total)
-            for p, c in zip(field.phi, field.chi):
-                p *= scale
-                c *= scale
+            field.phi_buf *= scale
+            field.chi_buf *= scale
 
     field.initial_max = field.max_abs()
     return field
@@ -388,11 +406,12 @@ def step(
     if not interior_only and field.n_bonds != graph.n_bonds:
         raise ValueError("field does not cover the full graph")
 
-    new_phi = [np.empty_like(p) for p in field.phi]
-    new_chi = [np.empty_like(c) for c in field.chi]
-    scratch = [np.empty_like(c) for c in field.chi]
-    for p, old, c, d in zip(new_phi, field.phi, field.chi, scratch):
-        _stencil(p[1:-1], cm, old[1:-1], lam, c, by_cp, d[:-1])
+    # one stencil per component over all bonds; the vertex and end updates
+    # and the pad reset overwrite the throwaway values beside each junction
+    phi, chi = field.phi_buf, field.chi_buf
+    out = field._on(np.empty_like(phi), np.empty_like(chi), level + 1, field.histories)
+    new_phi, d = out.phi, np.empty(len(chi) - 1, complex)
+    _stencil(out.phi_buf[1:-1], cm, phi[1:-1], lam, chi[:-1], by_cp, d[:-1])
 
     # vertex end
     if interior_only:
@@ -404,10 +423,10 @@ def step(
             level,
             params,
             right_end=True,
-            factor=vertex_tbc_factor(graph.alphas),
+            factor=_vertex_constants(graph.alphas, policy.vertex_mode)[2],
         )
     else:
-        alphas, w_all = _vertex_constants(graph.alphas, policy.vertex_mode)
+        alphas, w_all, _ = _vertex_constants(graph.alphas, policy.vertex_mode)
         shared_old = _vertex_shared_value(field, alphas, w_all)
         flux = field.chi[0][-1] / alphas[0]
         for j in range(1, field.n_bonds):
@@ -436,13 +455,8 @@ def step(
             right_end=right_end,
         )
 
-    for c_new, c, p, d in zip(new_chi, field.chi, new_phi, scratch):
-        _stencil(c_new, cp, c, lam, p, by_cm, d)
-
-    out = SpinorField(
-        field.bonds, new_phi, new_chi, level + 1, field.initial_max,
-        field.histories,
-    )
+    _stencil(out.chi_buf[:-1], cp, chi[:-1], lam, out.phi_buf, by_cm, d)
+    out.chi_buf[field._pads] = 0.0
     _check_stability(out, params)
     return out
 
@@ -458,7 +472,7 @@ def _check_stability(field: SpinorField, params: SimParams) -> None:
     limit = OVERFLOW_FACTOR * field.initial_max or sys.float_info.max
     # below 1e-150, squares of values near the limit could underflow
     if limit >= 1e-150:
-        sq = sum(np.vdot(a, a).real for a in (*field.phi, *field.chi))
+        sq = sum(np.vdot(a, a).real for a in (field.phi_buf, field.chi_buf))
         if np.sqrt(sq) <= 0.5 * limit:
             return
     peak = field.max_abs()

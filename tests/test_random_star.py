@@ -105,9 +105,25 @@ def test_random_star_step_is_linear(pair, seed):
             np.testing.assert_allclose(lhs, a * u + b * v, rtol=0, atol=1e-12)
 
 
+def assert_packed(field):
+    """Each bond's arrays are views at one offset of the field's buffers,
+    bond after bond, and each chi pad after a bond's last cell is +0."""
+    start = 0
+    for p, c in zip(field.phi, field.chi):
+        for view, buf in ((p, field.phi_buf), (c, field.chi_buf)):
+            assert view.base is buf
+            assert view.ctypes.data - buf.ctypes.data == start * buf.itemsize
+        start += len(p)
+        assert field.chi_buf[start - 1 : start].tobytes() == bytes(16)
+    assert start == len(field.phi_buf) == len(field.chi_buf)
+
+
 # m dt = 0.012 and 2.4: numpy divides by cp and cm on either of its branches.
 # At m = 60 today's I kernel (ROADMAP item 1) drives transparent boundaries
-# past the overflow guard from step 12 on, so that case takes 10 steps.
+# past the overflow guard from step 12 on, so that case takes 10 steps; bond
+# 1 keeps its far end 1 away from the packet and the outgoing bonds at least
+# 12 cells, which no wave crosses in 10 steps.  Unequal cell counts, odd and
+# even, put each bond at another offset and alignment in the packed buffers.
 @pytest.mark.parametrize(
     "params, mode",
     [pytest.param(PARAMS, m, id=str(m)) for m in VertexMode]
@@ -121,23 +137,28 @@ def test_random_star_step_is_linear(pair, seed):
     st.integers(2, 6).flatmap(lambda n: st.tuples(
         st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n),
         st.lists(st.sampled_from(list(EndMode)), min_size=n, max_size=n),
+        st.integers(40, 60),
+        st.lists(st.integers(12, 60), min_size=n - 1, max_size=n - 1),
     ))
 )
 def test_random_star_step_is_the_expression_stencil(params, mode, star):
-    # the in-place stencil gives the expression's bits, signed zeros
-    # included, reads its input field without writing to it, and shares no
-    # array with it
-    alphas, ends = star
-    graph = build_star_graph([(a, 2.0, 0.05) for a in alphas])
+    # the packed in-place stencil gives each bond the expression's bits,
+    # signed zeros included, reads its input field without writing to it,
+    # and shares no array with it
+    alphas, ends, first, others = star
+    cells = (first, *others)
+    graph = build_star_graph([(a, 0.05 * n, 0.05) for a, n in zip(alphas, cells)])
     kernel = BesselKernel.build(params.mass, params.dt, params.n_steps)
     policy = BoundaryPolicy(mode, ends, kernel)
     field = packet(graph, policy, params)
+    assert_packed(field)
     cp = 1.0 + 0.5j * params.mass * params.dt
     cm = 1.0 - 0.5j * params.mass * params.dt
     for _ in range(params.n_steps):
         before = [a.tobytes() for a in field.phi + field.chi]
         new = step(field, graph, params, policy)
         assert [a.tobytes() for a in field.phi + field.chi] == before
+        assert_packed(new)
         for a in new.phi + new.chi:
             assert not any(np.shares_memory(a, b) for b in field.phi + field.chi)
         for old_phi, old_chi, phi, chi in zip(field.phi, field.chi, new.phi, new.chi):

@@ -127,8 +127,8 @@ def random_field(graph, rng, amplitude=1.0):
 def combine(graph, a, f1, b, f2):
     out = SpinorField.zeros(graph.bonds)
     for i in range(len(out.phi)):
-        out.phi[i] = a * f1.phi[i] + b * f2.phi[i]
-        out.chi[i] = a * f1.chi[i] + b * f2.chi[i]
+        out.phi[i][:] = a * f1.phi[i] + b * f2.phi[i]
+        out.chi[i][:] = a * f1.chi[i] + b * f2.chi[i]
     out.initial_max = out.max_abs()
     return out
 
@@ -346,6 +346,23 @@ def test_field_shape_must_match_bonds():
         SpinorField(g.bonds, phi, chi)
 
 
+def test_field_constructor_copies_and_views_are_fixed():
+    # the stepper reads the packed buffers: the caller's arrays are copied
+    # in, and a per-bond view cannot be rebound past them
+    g = line_graph(length=2.0, dx=0.05)
+    phi = [np.full(41, 1.0 + 2.0j), np.full(41, 3.0 + 0j)]
+    chi = [np.full(40, -1.0j), np.full(40, 0.5 + 0j)]
+    field = SpinorField(g.bonds, phi, chi)
+    want = [a.tobytes() for a in phi + chi]
+    for a in phi + chi:
+        a[:] = 7.0
+    assert [a.tobytes() for a in field.phi + field.chi] == want
+    with pytest.raises(TypeError):
+        field.phi[0] = phi[0]
+    with pytest.raises(TypeError):
+        field.chi[1] = chi[1]
+
+
 def test_initial_field_rejects_bond_outside_domain():
     g = line_graph(length=2.0, dx=0.05)
     params = SimParams(mass=0.0, dt=0.04, dx=0.05, n_steps=4)
@@ -390,6 +407,25 @@ def test_transparent_vertex_rejects_full_graph_field():
     field = SpinorField.zeros(g.bonds)
     with pytest.raises(ValueError, match="bond-1-only"):
         step(field, g, params, policy)
+
+
+def test_transparent_vertex_factor_taken_once_per_weight_set(monkeypatch):
+    # the factor's Python loop over the weights runs once, not every step
+    from diracstar import solver
+
+    calls = []
+    original = solver.vertex_tbc_factor
+    monkeypatch.setattr(
+        solver, "vertex_tbc_factor", lambda a: calls.append(a) or original(a)
+    )
+    solver._vertex_constants.cache_clear()
+    params, runs = open_runs()
+    graph, make_policy = runs[1]
+    policy = make_policy()
+    field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+    for _ in range(20):
+        field = step(field, graph, params, policy)
+    assert calls == [graph.alphas]
 
 
 # ---------------------------------------------------------- boundary histories
