@@ -31,7 +31,6 @@ from __future__ import annotations
 import copy
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -144,9 +143,8 @@ class SpinorField:
 
     def _pack(self, bonds: tuple[Bond, ...]) -> None:
         """Lay the bonds out in two zero buffers and view them."""
-        self.bonds = bonds
+        self.bonds, self._plan = bonds, None
         ends = list(accumulate(b.cells + 1 for b in bonds))
-        self._pads = np.subtract(ends, 1)
         self._cuts = [(slice(a, z), slice(a, z - 1)) for a, z in zip([0, *ends], ends)]
         self._view(np.zeros(ends[-1], complex), np.zeros(ends[-1], complex))
 
@@ -154,11 +152,16 @@ class SpinorField:
         self.phi_buf, self.chi_buf = phi_buf, chi_buf
         self.phi = tuple(phi_buf[p] for p, _ in self._cuts)
         self.chi = tuple(chi_buf[c] for _, c in self._cuts)
+        # stencil operands: inner nodes, cells but the last pad, the values
+        # they difference, and scratch for both stencils
+        d = np.empty(len(chi_buf) - 1, complex)
+        self._operands = (phi_buf[1:-1], chi_buf[:-1], chi_buf[1:-1], chi_buf[:-2],
+                          phi_buf[1:], phi_buf[:-1], d, d[:-1])
 
-    def _on(self, phi_buf, chi_buf, time_level, histories) -> "SpinorField":
-        """This layout and initial maximum on the given buffers, unchecked."""
+    def _on(self, phi_buf: np.ndarray, chi_buf: np.ndarray) -> "SpinorField":
+        """This layout, state and plan on the given buffers, unchecked."""
         out = object.__new__(SpinorField)
-        out.__dict__.update(vars(self), time_level=time_level, histories=histories)
+        out.__dict__.update(vars(self))
         out._view(phi_buf, chi_buf)
         return out
 
@@ -179,10 +182,9 @@ class SpinorField:
         return float(np.maximum(*peaks))  # a NaN peak sticks
 
     def copy(self) -> "SpinorField":
-        return self._on(
-            self.phi_buf.copy(), self.chi_buf.copy(), self.time_level,
-            copy.deepcopy(self.histories),
-        )
+        twin = self._on(self.phi_buf.copy(), self.chi_buf.copy())
+        twin.histories = copy.deepcopy(self.histories)
+        return twin
 
 
 def gaussian_spinor(x0: float, sigma: float, bond: Bond) -> tuple[np.ndarray, np.ndarray]:
@@ -209,25 +211,23 @@ def gaussian_spinor(x0: float, sigma: float, bond: Bond) -> tuple[np.ndarray, np
     return phi, chi
 
 
-@lru_cache(maxsize=64)
 def _vertex_constants(
     alphas: tuple[float, ...], mode: VertexMode
 ) -> tuple[np.ndarray, np.float64, float | None]:
-    """Effective weights, W = sum_j a_j^-2, transparent factor A; read-only."""
+    """Effective weights, W = sum_j a_j^-2, transparent factor A."""
     kirchhoff = mode is VertexMode.KIRCHHOFF
     effective = np.ones(len(alphas)) if kirchhoff else np.asarray(alphas, float)
-    effective.flags.writeable = False
     factor = vertex_tbc_factor(alphas) if mode is VertexMode.TRANSPARENT else None
     return effective, np.sum(1.0 / effective ** 2), factor
 
 
 def _vertex_shared_value(
-    field: SpinorField, alphas: np.ndarray, w_all: np.float64
+    values: np.ndarray, alphas: np.ndarray, w_all: np.float64
 ) -> complex:
-    # least-squares projection of the stored vertex values on the chain
-    total = field.phi[0][-1] / alphas[0]
-    for j in range(1, field.n_bonds):
-        total += field.phi[j][0] / alphas[j]
+    # least-squares projection of the stored vertex values phi_j(0) on the chain
+    total = values[0] / alphas[0]
+    for j in range(1, len(values)):
+        total += values[j] / alphas[j]
     return total / w_all
 
 
@@ -279,7 +279,8 @@ def build_initial_field(
         field.phi[0][0] = 0.0
     if not interior_only:
         alphas, w_all, _ = _vertex_constants(graph.alphas, policy.vertex_mode)
-        shared = _vertex_shared_value(field, alphas, w_all)
+        values = [field.phi[0][-1], *(p[0] for p in field.phi[1:])]
+        shared = _vertex_shared_value(values, alphas, w_all)
         field.phi[0][-1] = shared / alphas[0]
         for j in range(1, field.n_bonds):
             field.phi[j][0] = shared / alphas[j]
@@ -299,14 +300,17 @@ def build_initial_field(
     return field
 
 
+def _tbc_coefficients(kernel: BesselKernel, params: SimParams, factor: float = 1.0):
+    """(denominator, numerator factor) of a transparent node's equation at
+    level 0 and at every later level, which share one endpoint coefficient."""
+    lam_a, beta = params.courant * factor, 0.5j * params.mass * params.dt
+    endpoint = (_endpoint_coefficient(kernel, 0), _endpoint_coefficient(kernel, 1))
+    return tuple((1.0 + lam_a * f + beta, 1.0 - lam_a * f - beta) for f in endpoint)
+
+
 def _solve_tbc_node(
-    q: complex,
-    chi_adj: complex,
-    history: _History,
-    kernel: BesselKernel,
-    level: int,
-    params: SimParams,
-    right_end: bool,
+    q: complex, chi_adj: complex, history: _History, kernel: BesselKernel,
+    level: int, two_lam: float, coefficients: tuple, right_end: bool,
     factor: float = 1.0,
 ) -> complex:
     """Advance a transparent boundary node and record its history entry.
@@ -314,20 +318,18 @@ def _solve_tbc_node(
     Combines the convolution relation for chi at the boundary with the
     half-cell update of the boundary phi node; the newest boundary value
     enters its own convolution through the trapezoid endpoint, so the two
-    relations reduce to one linear equation for the new phi value.  The
-    new entry is appended to ``history``, which stores its first entry
-    halved: the trapezoid's half weight on the oldest value.
+    relations reduce to one linear equation for the new phi value, with the
+    ``coefficients`` of ``_tbc_coefficients``.  The new entry is appended
+    to ``history``, which stores its first entry halved: the trapezoid's
+    half weight on the oldest value.
     """
-    lam = params.courant
-    beta = 0.5j * params.mass * params.dt
-    f = _endpoint_coefficient(kernel, level)
+    denom, scale = coefficients[level > 0]
     tail = _history_convolution(history, kernel, level)
-    denom = 1.0 + lam * factor * f + beta
-    numer = (1.0 - lam * factor * f - beta) * q
+    numer = scale * q
     if right_end:
-        numer += 2.0 * lam * (chi_adj - factor * tail)
+        numer += two_lam * (chi_adj - factor * tail)
     else:
-        numer -= 2.0 * lam * (chi_adj + factor * tail)
+        numer -= two_lam * (chi_adj + factor * tail)
     p = numer / denom
     history.append(0.5 * (p + q))
     return p
@@ -353,10 +355,10 @@ def _divide(out: np.ndarray, divisor: tuple[complex, float | None]) -> None:
         np.multiply(out.view(float), scl, out=out.view(float))
 
 
-def _stencil(out, num, old, lam, other, divisor, diff) -> None:
-    """out = (num * old - lam * (other[1:] - other[:-1])) / den, op by op,
-    with ``divisor = _divisor(den)``."""
-    np.subtract(other[1:], other[:-1], out=diff)
+def _stencil(out, num, old, lam, hi, lo, divisor, diff) -> None:
+    """out = (num * old - lam * (hi - lo)) / den, op by op, with
+    ``divisor = _divisor(den)``."""
+    np.subtract(hi, lo, out=diff)
     np.multiply(lam, diff, out=diff)
     np.multiply(num, old, out=out)
     np.subtract(out, diff, out=out)
@@ -377,86 +379,111 @@ def _history(field: SpinorField, key: str) -> _History:
     return history
 
 
+class _StepPlan:
+    """What ``step`` derives from its graph, params and policy alone, with
+    offsets into the buffers of the stepped field's layout: the vertex nodes,
+    the cells beside them, the weights and W (None for a transparent vertex);
+    per transparent boundary, vertex first, (history key, node, adjacent cell,
+    right end, factor A, coefficients); the Dirichlet end nodes; the pads."""
+
+    def __init__(self, field, graph, params, policy) -> None:
+        interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
+        if interior_only and field.n_bonds != 1:
+            raise ValueError(
+                "transparent vertex mode applies to a bond-1-only field; "
+                f"got {field.n_bonds} bonds"
+            )
+        if not interior_only and field.n_bonds != graph.n_bonds:
+            raise ValueError("field does not cover the full graph")
+        self.graph, self.params, self.policy = graph, params, policy
+        self.lam, self.two_lam = params.courant, 2.0 * params.courant
+        self.cp = 1.0 + 0.5j * params.mass * params.dt
+        self.cm = 1.0 - 0.5j * params.mass * params.dt
+        self.by_cp, self.by_cm = _divisor(self.cp), _divisor(self.cm)
+        alphas, w_all, factor = _vertex_constants(graph.alphas, policy.vertex_mode)
+        pads = [k - 1 for k in accumulate(b.cells + 1 for b in field.bonds)]
+        nodes = [pads[0], *(k + 1 for k in pads[:-1])]
+        cells = [nodes[0] - 1, *nodes[1:]]
+        self.vertex = None if interior_only else (nodes, cells, list(alphas), w_all)
+        ends = [("vertex", nodes[0], cells[0], True, factor)] if interior_only else []
+        self.walls, self.pads, starts = [], np.array(pads), [0, *nodes[1:]]
+        for bond, mode, start, stop in zip(field.bonds, policy.end_modes, starts, pads):
+            right_end = bond.orientation is Orientation.OUTGOING
+            node, cell = (stop, stop - 1) if right_end else (start, start)
+            if mode is EndMode.DIRICHLET:
+                self.walls.append(node)
+            else:
+                ends.append((f"end{bond.index}", node, cell, right_end, 1.0))
+        self.transparent = [
+            (*e, _tbc_coefficients(policy.kernel, params, e[4])) for e in ends
+        ]
+
+
 def step(
     field: SpinorField,
     graph: StarGraph,
     params: SimParams,
     policy: BoundaryPolicy,
+    out: SpinorField | None = None,
 ) -> SpinorField:
-    """Advance the field one time step; returns a new field.
+    """Advance the field one time step into ``out``, or a new field.
 
-    All phi nodes are updated first (interior stencil, then vertex and end
-    conditions), then every chi cell from the new phi.  Transparent
-    boundaries append to the field's history buffers, which the new field
-    takes over; stepping an older field of the run raises ValueError.
-    Raises InstabilityError when any value exceeds the overflow guard or
-    becomes non-finite.
+    ``out`` is a field of the same layout that the caller is done with,
+    e.g. the one two levels back; all its values are overwritten, and it
+    takes the next time level, the histories and the initial maximum.
+    ``field`` is never written to.  All phi nodes are updated first
+    (interior stencil, then vertex and end conditions), then every chi cell
+    from the new phi.  The constants of ``graph``, ``params`` and ``policy``
+    are planned at a run's first step and handed on with the new field, so
+    none of the three may change during a run.  Transparent boundaries
+    append to the field's history buffers, which the new field takes over.
+    Raises ValueError for an older field of the run, and for an ``out``
+    that is ``field``, shares memory with it or has another layout;
+    InstabilityError when a value exceeds the overflow guard or is not finite.
     """
-    lam = params.courant
-    cp = 1.0 + 0.5j * params.mass * params.dt
-    cm = 1.0 - 0.5j * params.mass * params.dt
-    by_cp, by_cm = _divisor(cp), _divisor(cm)
+    plan = field._plan
+    if not (plan and plan.graph is graph and plan.params is params
+            and plan.policy is policy):
+        plan = _StepPlan(field, graph, params, policy)
+    phi, chi = field.phi_buf, field.chi_buf
+    if out is None:
+        out = field._on(np.empty_like(phi), np.empty_like(chi))
+    elif out is field:
+        raise ValueError("out is the field being stepped; pass another field")
+    elif out.bonds != field.bonds:
+        raise ValueError("out has another bond layout than the field being stepped")
+    elif np.may_share_memory(out.phi_buf, phi) or np.may_share_memory(out.chi_buf, chi):
+        raise ValueError("out shares memory with the field being stepped")
     level = field.time_level
-    interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
-    if interior_only and field.n_bonds != 1:
-        raise ValueError(
-            "transparent vertex mode applies to a bond-1-only field; "
-            f"got {field.n_bonds} bonds"
-        )
-    if not interior_only and field.n_bonds != graph.n_bonds:
-        raise ValueError("field does not cover the full graph")
+    out.time_level, out.histories, out._plan = level + 1, field.histories, plan
+    out.initial_max = field.initial_max
 
     # one stencil per component over all bonds; the vertex and end updates
     # and the pad reset overwrite the throwaway values beside each junction
-    phi, chi = field.phi_buf, field.chi_buf
-    out = field._on(np.empty_like(phi), np.empty_like(chi), level + 1, field.histories)
-    new_phi, d = out.phi, np.empty(len(chi) - 1, complex)
-    _stencil(out.phi_buf[1:-1], cm, phi[1:-1], lam, chi[:-1], by_cp, d[:-1])
+    new_phi = out.phi_buf
+    old_inner, old_cells, chi_hi, chi_lo, _, _, _, _ = field._operands
+    new_inner, new_cells, _, _, phi_hi, phi_lo, d, d_in = out._operands
+    _stencil(new_inner, plan.cm, old_inner, plan.lam, chi_hi, chi_lo, plan.by_cp, d_in)
 
-    # vertex end
-    if interior_only:
-        new_phi[0][-1] = _solve_tbc_node(
-            field.phi[0][-1],
-            field.chi[0][-1],
-            _history(field, "vertex"),
-            policy.kernel,
-            level,
-            params,
-            right_end=True,
-            factor=_vertex_constants(graph.alphas, policy.vertex_mode)[2],
+    if plan.vertex is not None:
+        nodes, cells, alphas, w_all = plan.vertex
+        shared_old = _vertex_shared_value([phi[k] for k in nodes], alphas, w_all)
+        flux = chi[cells[0]] / alphas[0]
+        for j in range(1, len(cells)):
+            flux -= chi[cells[j]] / alphas[j]
+        shared_new = (plan.cm * shared_old + plan.two_lam * flux / w_all) / plan.cp
+        for k, a in zip(nodes, alphas):
+            new_phi[k] = shared_new / a
+    for key, node, cell, right_end, factor, coefficients in plan.transparent:
+        new_phi[node] = _solve_tbc_node(
+            phi[node], chi[cell], _history(field, key), policy.kernel, level,
+            plan.two_lam, coefficients, right_end, factor,
         )
-    else:
-        alphas, w_all, _ = _vertex_constants(graph.alphas, policy.vertex_mode)
-        shared_old = _vertex_shared_value(field, alphas, w_all)
-        flux = field.chi[0][-1] / alphas[0]
-        for j in range(1, field.n_bonds):
-            flux -= field.chi[j][0] / alphas[j]
-        shared_new = (cm * shared_old + 2.0 * lam * flux / w_all) / cp
-        new_phi[0][-1] = shared_new / alphas[0]
-        for j in range(1, field.n_bonds):
-            new_phi[j][0] = shared_new / alphas[j]
+    for node in plan.walls:
+        new_phi[node] = 0.0
 
-    # far ends: bond 1 ends at its left node, outgoing bonds at their right
-    for j in range(field.n_bonds):
-        mode = policy.end_modes[j]
-        right_end = field.bonds[j].orientation is Orientation.OUTGOING
-        node = -1 if right_end else 0
-        if mode is EndMode.DIRICHLET:
-            new_phi[j][node] = 0.0
-            continue
-        chi_adj = field.chi[j][-1] if right_end else field.chi[j][0]
-        new_phi[j][node] = _solve_tbc_node(
-            field.phi[j][node],
-            chi_adj,
-            _history(field, f"end{field.bonds[j].index}"),
-            policy.kernel,
-            level,
-            params,
-            right_end=right_end,
-        )
-
-    _stencil(out.chi_buf[:-1], cp, chi[:-1], lam, out.phi_buf, by_cm, d)
-    out.chi_buf[field._pads] = 0.0
+    _stencil(new_cells, plan.cp, old_cells, plan.lam, phi_hi, phi_lo, plan.by_cm, d)
+    out.chi_buf[plan.pads] = 0.0
     _check_stability(out, params)
     return out
 
@@ -543,8 +570,8 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
     at the final step; node-resolved snapshots are taken at the steps
     nearest to the configured times and labelled with the sampled time
     n dt.  ``policy`` defaults to ``config.build_policy()``; runs with the
-    same boundary modes, mass, dt and n_steps may share one.  Step
-    instability propagates.
+    same boundary modes, mass, dt and n_steps may share one.  Each step
+    writes into the field two levels back; step instability propagates.
     """
     from .diagnostics import compute_record, node_profile
 
@@ -579,8 +606,9 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
                 )
 
     observe(0)
+    spare = None
     for n in range(1, params.n_steps + 1):
-        field = step(field, graph, params, policy)
+        field, spare = step(field, graph, params, policy, out=spare), field
         observe(n)
 
     return RunResult(records, snapshots, graph, field)

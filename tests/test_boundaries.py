@@ -20,13 +20,22 @@ from diracstar.boundaries import (
     _History,
     _history_convolution,
 )
-from diracstar.solver import _solve_tbc_node, _vertex_shared_value
+from diracstar import solver
+from diracstar.solver import _vertex_shared_value
 
 from .conftest import CANONICAL_ALPHAS
 from .oracles import trapezoid_convolution
 
 MASSLESS = SimParams(mass=0.0, dt=0.01, dx=0.0125, n_steps=64)
 MASSIVE = SimParams(mass=0.3, dt=0.01, dx=0.0125, n_steps=64)
+
+
+def _solve_tbc_node(q, chi_adj, history, kernel, level, params, right_end, factor=1.0):
+    """The stepper's node update with the constants a step plan holds."""
+    return solver._solve_tbc_node(
+        q, chi_adj, history, kernel, level, 2.0 * params.courant,
+        solver._tbc_coefficients(kernel, params, factor), right_end, factor,
+    )
 
 
 @pytest.fixture
@@ -226,7 +235,7 @@ def test_apply_vertex_weighted_distribution():
     p = 0.37 - 0.11j
     field.phi[0][-1] = p
     alphas = np.asarray(CANONICAL_ALPHAS)
-    shared = _vertex_shared_value(field, alphas, np.sum(1.0 / alphas ** 2))
+    shared = _vertex_shared_value(vertex_values(field), alphas, np.sum(1.0 / alphas ** 2))
     assert shared / alphas[0] == pytest.approx(p / 2, rel=1e-12)  # projection halves it
     # with no flux the shared value only turns by the mass phase, and the
     # new vertex values split by sqrt(2/3), sqrt(1/3)

@@ -4,7 +4,8 @@ Each example draws a bond count N in 2..6, a vertex mode and two different
 weight vectors in [0.3, 3]^N, and steps both graphs in lockstep in one
 process, so vertex constants carried over from another graph show up.
 The stencil test draws one star per vertex mode, with random end modes,
-and checks each step against the expression form in ``oracles``.
+and checks each step against the expression form in ``oracles``; the
+spare test steps the same stars into a reused, NaN-filled field.
 """
 from dataclasses import replace
 
@@ -118,38 +119,44 @@ def assert_packed(field):
     assert start == len(field.phi_buf) == len(field.chi_buf)
 
 
+def random_stars():
+    """(alphas, end modes, bond-1 cells, other cells) of a random star."""
+    return st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n),
+        st.lists(st.sampled_from(list(EndMode)), min_size=n, max_size=n),
+        st.integers(40, 60),
+        st.lists(st.integers(12, 60), min_size=n - 1, max_size=n - 1),
+    ))
+
+
+def random_star(params, mode, star):
+    alphas, ends, first, others = star
+    cells = (first, *others)
+    graph = build_star_graph([(a, 0.05 * n, 0.05) for a, n in zip(alphas, cells)])
+    kernel = BesselKernel.build(params.mass, params.dt, params.n_steps)
+    return graph, BoundaryPolicy(mode, ends, kernel)
+
+
 # m dt = 0.012 and 2.4: numpy divides by cp and cm on either of its branches.
 # At m = 60 today's I kernel (ROADMAP item 1) drives transparent boundaries
 # past the overflow guard from step 12 on, so that case takes 10 steps; bond
 # 1 keeps its far end 1 away from the packet and the outgoing bonds at least
 # 12 cells, which no wave crosses in 10 steps.  Unequal cell counts, odd and
 # even, put each bond at another offset and alignment in the packed buffers.
-@pytest.mark.parametrize(
-    "params, mode",
-    [pytest.param(PARAMS, m, id=str(m)) for m in VertexMode]
-    + [
-        pytest.param(replace(PARAMS, mass=60.0, n_steps=10), m, id=f"{m}-m60")
-        for m in VertexMode
-    ],
-)
+STAR_CASES = [pytest.param(PARAMS, m, id=str(m)) for m in VertexMode] + [
+    pytest.param(replace(PARAMS, mass=60.0, n_steps=10), m, id=f"{m}-m60")
+    for m in VertexMode
+]
+
+
+@pytest.mark.parametrize("params, mode", STAR_CASES)
 @settings(max_examples=4, deadline=None)
-@given(
-    st.integers(2, 6).flatmap(lambda n: st.tuples(
-        st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n),
-        st.lists(st.sampled_from(list(EndMode)), min_size=n, max_size=n),
-        st.integers(40, 60),
-        st.lists(st.integers(12, 60), min_size=n - 1, max_size=n - 1),
-    ))
-)
+@given(random_stars())
 def test_random_star_step_is_the_expression_stencil(params, mode, star):
     # the packed in-place stencil gives each bond the expression's bits,
     # signed zeros included, reads its input field without writing to it,
     # and shares no array with it
-    alphas, ends, first, others = star
-    cells = (first, *others)
-    graph = build_star_graph([(a, 0.05 * n, 0.05) for a, n in zip(alphas, cells)])
-    kernel = BesselKernel.build(params.mass, params.dt, params.n_steps)
-    policy = BoundaryPolicy(mode, ends, kernel)
+    graph, policy = random_star(params, mode, star)
     field = packet(graph, policy, params)
     assert_packed(field)
     cp = 1.0 + 0.5j * params.mass * params.dt
@@ -168,3 +175,56 @@ def test_random_star_step_is_the_expression_stencil(params, mode, star):
             assert phi[1:-1].tobytes() == want_phi.tobytes()
             assert chi.tobytes() == want_chi.tobytes()
         field = new
+
+
+def nan_filled(field):
+    for buf in (field.phi_buf, field.chi_buf):
+        buf[:] = np.nan
+    return field
+
+
+def assert_junctions(old, new, graph, policy):
+    """Every vertex and end node holds what its update wrote: one value
+    a_j phi_j(0) on the chain, +0 at a wall, and at a transparent node the
+    value its newest history entry 0.5 (new + old) was made from."""
+    nodes = {"end1": (0, 0)}
+    for j in range(1, new.n_bonds):
+        nodes[f"end{j + 1}"] = (j, -1)
+    if policy.vertex_mode is VertexMode.TRANSPARENT:
+        nodes["vertex"] = (0, -1)
+    else:
+        chain = effective_weights(graph.alphas, policy.vertex_mode) * vertex_values(new)
+        assert np.all(np.abs(chain - chain[0]) <= 1e-12 * max(1.0, abs(chain[0])))
+    for key, (j, k) in nodes.items():
+        if key in new.histories:
+            entry = 0.5 * (new.phi[j][k] + old.phi[j][k])
+            h = new.histories[key]
+            assert h[-1] == (entry if len(h) > 1 else 0.5 * entry)
+        elif key != "vertex":
+            assert new.phi[j][k].tobytes() == bytes(16)
+
+
+@pytest.mark.parametrize("params, mode", STAR_CASES)
+@settings(max_examples=4, deadline=None)
+@given(random_stars())
+def test_random_star_step_into_a_spare_is_a_step_into_a_new_field(params, mode, star):
+    # from equal starts, stepping into a reused spare filled with NaN before
+    # each step, pads and junction nodes included, gives the bits and the
+    # histories of stepping into new fields: the step writes every slot
+    graph, policy = random_star(params, mode, star)
+    fresh = packet(graph, policy, params)
+    reused, spare = fresh.copy(), SpinorField.zeros(fresh.bonds)
+    for _ in range(params.n_steps):
+        old = fresh
+        fresh = step(fresh, graph, params, policy)
+        reused, spare = step(reused, graph, params, policy, out=nan_filled(spare)), reused
+        for new in (fresh, reused):
+            assert_packed(new)
+            assert_junctions(old, new, graph, policy)
+        assert reused.phi_buf.tobytes() == fresh.phi_buf.tobytes()
+        assert reused.chi_buf.tobytes() == fresh.chi_buf.tobytes()
+        assert reused.time_level == fresh.time_level
+        assert reused.initial_max == fresh.initial_max
+        assert sorted(reused.histories) == sorted(fresh.histories)
+        for key, h in fresh.histories.items():
+            assert reused.histories[key][:].tobytes() == h[:].tobytes()

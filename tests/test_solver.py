@@ -1,5 +1,6 @@
+import copy
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,17 +16,20 @@ from diracstar import (
     VertexMode,
     build_initial_field,
     build_star_graph,
+    compute_record,
     density_profile,
     energy,
     gaussian_spinor,
+    load_config,
     run,
     step,
     total_norm,
 )
+from diracstar.diagnostics import node_profile
 from diracstar.config import ExperimentConfig
 from diracstar.solver import OVERFLOW_FACTOR, _check_stability, _divide, _divisor
 
-from .conftest import CANONICAL_ALPHAS
+from .conftest import CANONICAL_ALPHAS, CONFIG_DIR
 from .oracles import gaussian
 
 
@@ -396,6 +400,31 @@ def test_initial_field_takes_one_peak(monkeypatch):
     assert field.initial_max == original(field) > 0
 
 
+@pytest.mark.parametrize(
+    "make_out, cause",
+    [
+        pytest.param(lambda f: f, "out is the field being stepped", id="field"),
+        pytest.param(copy.copy, "out shares memory", id="shared"),
+        pytest.param(
+            lambda f: SpinorField.zeros(line_graph().bonds), "another bond layout",
+            id="layout",
+        ),
+    ],
+)
+def test_step_rejects_an_out_it_cannot_fill(make_out, cause):
+    # an out that is the field, views its buffers or has another layout
+    # is named as such, and the field is left as it was
+    g = canonical_graph()
+    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=4)
+    policy = dirichlet_policy(g, VertexMode.WEIGHTED)
+    field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
+    before = field.phi_buf.tobytes() + field.chi_buf.tobytes()
+    with pytest.raises(ValueError, match=cause):
+        step(field, g, params, policy, out=make_out(field))
+    assert field.phi_buf.tobytes() + field.chi_buf.tobytes() == before
+    assert field.time_level == 0
+
+
 def test_transparent_vertex_rejects_full_graph_field():
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=4)
@@ -410,7 +439,8 @@ def test_transparent_vertex_rejects_full_graph_field():
 
 
 def test_transparent_vertex_factor_taken_once_per_weight_set(monkeypatch):
-    # the factor's Python loop over the weights runs once, not every step
+    # the factor's Python loop over the weights runs once per run, when
+    # the first step plans the run, not every step
     from diracstar import solver
 
     calls = []
@@ -418,7 +448,6 @@ def test_transparent_vertex_factor_taken_once_per_weight_set(monkeypatch):
     monkeypatch.setattr(
         solver, "vertex_tbc_factor", lambda a: calls.append(a) or original(a)
     )
-    solver._vertex_constants.cache_clear()
     params, runs = open_runs()
     graph, make_policy = runs[1]
     policy = make_policy()
@@ -563,3 +592,47 @@ def test_stencil_division_is_numpys_bit_for_bit(m_dt):
                 for got in (x.copy(), np.concatenate(([1j], x, [1j]))[1:-1]):
                     _divide(got, divisor)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["transparent_star.cfg", "open_line.cfg"])
+def test_run_on_two_fields_matches_a_loop_of_new_fields(name):
+    # run steps into the field two levels back; its records, snapshots and
+    # final field are those of stepping into a new field every step, and
+    # a snapshot keeps the values of its step after the buffers moved on
+    config = load_config(CONFIG_DIR / name)
+    config = replace(config, n_steps=300, snapshot_times=(0.0, 0.5, 2.0, 3.0))
+    result = run(config)
+
+    graph, params = config.build_graph(), config.sim_params()
+    policy = config.build_policy()
+    field = build_initial_field(
+        graph, params, policy, x0=config.x0, sigma=config.sigma,
+        bond_index=config.source_bond, amplitude=config.amplitude,
+        normalize=config.normalize_initial,
+    )
+    records, snapshots = [], []
+    for n in range(params.n_steps + 1):
+        if n:
+            field = step(field, graph, params, policy)
+        if n % config.sample_every == 0 or n == params.n_steps:
+            records.append(compute_record(field, params, n * params.dt))
+        if n in config.snapshot_steps():
+            snapshots += [node_profile(field, j + 1, params)
+                          for j in range(field.n_bonds)]
+
+    def as_bytes(values):
+        return np.concatenate([np.ravel(v) for v in values]).tobytes()
+
+    assert len(result.records) == len(records) == 1 + 300 // config.sample_every
+    for got, want in zip(result.records, records):
+        assert as_bytes(astuple(got)) == as_bytes(astuple(want))
+    assert len(result.snapshots) == len(snapshots) == 4 * field.n_bonds
+    for got, want in zip(result.snapshots, snapshots):
+        assert as_bytes((got.x, got.phi, got.chi, got.density)) == as_bytes(want)
+    final = result.field
+    assert final.phi_buf.tobytes() == field.phi_buf.tobytes()
+    assert final.chi_buf.tobytes() == field.chi_buf.tobytes()
+    assert final.time_level == field.time_level == 300
+    assert sorted(final.histories) == sorted(field.histories)
+    for key, h in field.histories.items():
+        assert final.histories[key][:].tobytes() == h[:].tobytes()
