@@ -18,6 +18,7 @@ bond.  See the README for a worked example.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -64,6 +65,18 @@ class ExperimentConfig:
     sweep: SweepSpec | None = None
 
     def validate(self) -> None:
+        real = [("graph", "dx", self.dx), ("simulation", "mass", self.mass),
+                ("simulation", "dt", self.dt), ("initial", "x0", self.x0),
+                ("initial", "sigma", self.sigma),
+                ("initial", "amplitude", self.amplitude)]
+        for j, (alpha, length) in enumerate(zip(self.alphas, self.lengths), 1):
+            real += [(f"bond {j}", "alpha", alpha), (f"bond {j}", "length", length)]
+        if self.sweep is not None:
+            real += [("sweep", "from", self.sweep.start),
+                     ("sweep", "to", self.sweep.stop)]
+        for section, key, value in real:
+            if not math.isfinite(value):
+                raise ConfigError(f"[{section}] {key} must be finite, got {value}")
         n = len(self.alphas)
         if n < 2:
             raise ConfigError(f"graph needs at least 2 bonds, got {n}")

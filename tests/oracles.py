@@ -4,7 +4,9 @@ Deliberately self-contained: the free-line solver below re-implements the
 staggered leap-frog scheme on a single interval in plain numpy (no imports
 from the package under test), and the Bessel reference sums the ascending
 series in extended precision with a rigorous truncation bound.  These
-provide the ground truths the production code is checked against.
+provide the ground truths the production code is checked against.  The
+scalar Bessel loops further down are a bit reference, not a truth: the
+kernel samples must equal them byte for byte.
 """
 from __future__ import annotations
 
@@ -175,6 +177,77 @@ def bessel_series_reference(z: float, terms: int = 200) -> BesselSeriesValue:
             )
         bound = next_term / (1 - ratio)
         return BesselSeriesValue(float(total), float(bound))
+
+
+_SERIES_CUTOFF = 15.0
+_EPS = 2.220446049250313e-16
+
+
+def _i0_series(z: float) -> float:
+    # sum_k (z^2/4)^k / (k!)^2
+    q = 0.25 * z * z
+    term = 1.0
+    total = 1.0
+    k = 0
+    while True:
+        k += 1
+        term *= q / (k * k)
+        total += term
+        if term <= _EPS * total:
+            return total
+
+
+def _i1_series(z: float) -> float:
+    # (z/2) * sum_k (z^2/4)^k / (k! (k+1)!)
+    q = 0.25 * z * z
+    term = 0.5 * z
+    total = term
+    if z == 0.0:
+        return 0.0
+    k = 0
+    while True:
+        k += 1
+        term *= q / (k * (k + 1))
+        total += term
+        if term <= _EPS * total:
+            return total
+
+
+def _iv_asymptotic(nu: int, z: float) -> float:
+    # e^z / sqrt(2 pi z) * sum_k (-1)^k a_k(nu) / z^k, truncated at the
+    # smallest term (remainder ~ e^{-2z}, < 1e-13 relative for z > 15)
+    mu = 4 * nu * nu
+    term = 1.0
+    total = 1.0
+    k = 0
+    while True:
+        k += 1
+        factor = -(mu - (2 * k - 1) ** 2) / (8.0 * k * z)
+        nxt = term * factor
+        if abs(nxt) >= abs(term) or abs(nxt) <= _EPS * abs(total):
+            if abs(nxt) < abs(term):
+                total += nxt
+            break
+        term = nxt
+        total += term
+    try:
+        scale = np.exp(z) / np.sqrt(2.0 * np.pi * z)
+    except OverflowError:  # pragma: no cover - exp(z) overflow path
+        return float("inf")
+    return float(scale * total)
+
+
+def scalar_bessel_iv(order: int, z: float) -> float:
+    """I0 (order 0) or I1 (order 1) at one z >= 0, one Python loop per call.
+
+    These are the scalar series and large-argument loops that sampled the
+    kernel before it was evaluated on whole arrays, kept verbatim: their
+    results are the bits every kernel sample must keep.  Not a check of
+    accuracy (``bessel_series_reference`` and mpmath are).
+    """
+    if z <= _SERIES_CUTOFF:
+        return (_i0_series, _i1_series)[order](z)
+    return _iv_asymptotic(order, z)
 
 
 def leapfrog_interior(old_phi, old_chi, new_phi, lam, cp, cm):

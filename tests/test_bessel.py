@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diracstar import BesselKernel, bessel_i0, bessel_i1
-from diracstar.bessel import _i0_series, _iv_asymptotic
+from diracstar import BesselKernel, bessel_i0, bessel_i1, load_config
+from diracstar.bessel import _asymptotic, _bessel_iv, _series
+
+from .conftest import CONFIG_DIR
+from .oracles import scalar_bessel_iv
 
 
 def test_i0_at_zero_is_exactly_one():
@@ -46,9 +49,66 @@ def test_negative_argument_rejected():
         bessel_i1(-2.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("function", [bessel_i0, bessel_i1])
+def test_non_finite_argument_rejected(function, z):
+    # a NaN never meets the large-argument loop's stop test
+    with pytest.raises(ValueError, match=f"got {z}"):
+        function(z)
+    with pytest.raises(ValueError, match=f"got {z}"):
+        _bessel_iv(0, np.array([1.0, z, 20.0]))
+
+
 def test_branch_agreement_at_cutoff():
     # series and asymptotic branches agree where the implementation switches
-    assert math.isclose(_i0_series(15.0), _iv_asymptotic(0, 15.0), rel_tol=1e-10)
+    at_cutoff = np.array([15.0])
+    assert math.isclose(
+        _series(0, at_cutoff)[0], _asymptotic(0, at_cutoff)[0], rel_tol=1e-10
+    )
+
+
+def assert_scalar_bits(z, i0, i1):
+    """i0, i1 equal, byte for byte, the scalar loops' I0 and I1 at z."""
+    for order, got in ((0, i0), (1, i1)):
+        expected = np.array([scalar_bessel_iv(order, v) for v in z.tolist()])
+        assert got.tobytes() == expected.tobytes(), f"I{order} bits differ"
+
+
+_RNG = np.random.default_rng(20)
+_Z_GRIDS = {
+    "dense [0, 15]": np.linspace(0.0, 15.0, 6001),
+    "random [0, 15]": _RNG.uniform(0.0, 15.0, 4000),
+    "15.0 and its neighbours": np.array(
+        [np.nextafter(15.0, 0.0), 15.0, np.nextafter(15.0, 16.0)]
+    ),
+    "dense (15, 709.78]": np.linspace(np.nextafter(15.0, 16.0), 709.78, 6001),
+    "random (15, 709.78]": _RNG.uniform(15.0, 709.78, 4000),
+    "zero": np.array([0.0]),
+}
+
+
+@pytest.mark.parametrize("grid", _Z_GRIDS)
+def test_samples_keep_the_scalar_loops_bits(grid):
+    z = _Z_GRIDS[grid]
+    assert_scalar_bits(z, _bessel_iv(0, z), _bessel_iv(1, z))
+
+
+@pytest.mark.parametrize(
+    "mass, dt, n_steps",
+    [
+        *[(c.mass, c.dt, c.n_steps) for c in map(
+            load_config, sorted(CONFIG_DIR.glob("*.cfg"))
+        )],
+        (1.0, 0.1, 7097),  # up to z = 709.7, just inside the float range
+        (100.0, 0.01, 705),
+        (1.5, 1.0, 10),  # ends at exactly z = 15.0
+        (0.37, 0.029, 1500),  # crosses the cutoff between two samples
+    ],
+)
+def test_kernel_keeps_the_scalar_loops_bits(mass, dt, n_steps):
+    kernel = BesselKernel.build(mass, dt, n_steps)
+    z = mass * dt * np.arange(n_steps + 1)
+    assert_scalar_bits(z, kernel.samples, kernel.i1_samples)
 
 
 def test_kernel_invariants():
@@ -77,6 +137,11 @@ def test_kernel_build_validation():
         BesselKernel.build(-0.1, 0.01, 10)
     with pytest.raises(ValueError):
         BesselKernel.build(0.1, 0.0, 10)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"mass must be finite .* got {bad}"):
+            BesselKernel.build(bad, 0.01, 10)
+        with pytest.raises(ValueError, match=f"dt must be finite .* got {bad}"):
+            BesselKernel.build(0.1, bad, 10)
 
 
 def test_kernel_overflow_rejected_before_sampling(monkeypatch):
@@ -85,8 +150,7 @@ def test_kernel_overflow_rejected_before_sampling(monkeypatch):
     import diracstar.bessel as bessel_module
 
     calls = []
-    monkeypatch.setattr(bessel_module, "bessel_i0", lambda z: calls.append(z) or 1.0)
-    monkeypatch.setattr(bessel_module, "bessel_i1", lambda z: calls.append(z) or 0.0)
+    monkeypatch.setattr(bessel_module, "_bessel_iv", lambda *a: calls.append(a))
     named = r"mass 3\.0, dt 0\.05 and n_steps 12000 give m\*dt\*n_steps = 1800"
     with pytest.raises(ValueError, match=named):
         BesselKernel.build(3.0, 0.05, 12000)

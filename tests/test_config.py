@@ -1,3 +1,4 @@
+import configparser
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,27 @@ def test_bad_float_names_the_field(tmp_path):
     bad = MINIMAL.replace("sigma = 0.9", "sigma = wide")
     with pytest.raises(ConfigError, match=r"\[initial\] sigma"):
         load_config(write_config(tmp_path, bad))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", [
+    ("graph", "dx"), ("simulation", "mass"), ("simulation", "dt"),
+    ("initial", "x0"), ("initial", "sigma"), ("initial", "amplitude"),
+    ("bond 1", "length"), ("bond 2", "alpha"), ("sweep", "from"), ("sweep", "to"),
+])
+def test_non_finite_value_names_its_key(tmp_path, section, key, value):
+    # a NaN passes every "< 0" test, so unchecked it fails later and names
+    # another cause ("non-finite field value at step 1", "kernel overflows")
+    parser = configparser.ConfigParser()
+    parser.read_string(MINIMAL + "[sweep]\nfrom = 0.5\nto = 1.5\npoints = 3\n")
+    parser[section][key] = value
+    path = tmp_path / "test.cfg"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(
+        ConfigError, match=rf"^\[{section}\] {key} must be finite, got {value}$"
+    ):
+        load_config(path)
 
 
 def test_snapshot_time_out_of_range(tmp_path):
