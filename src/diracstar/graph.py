@@ -99,8 +99,8 @@ def build_star_graph(spec: Iterable[Sequence[float]]) -> StarGraph:
     The first entry becomes the incoming bond.  All bonds must share one grid
     spacing, every length must be an integer number of cells, and N >= 2.
 
-    Raises ValueError for N < 2, non-positive parameters, non-uniform dx or a
-    length that does not fit the grid.
+    Raises ValueError for N < 2, non-positive parameters, non-uniform dx, a
+    bond of fewer than 4 cells or a length that does not fit the grid.
     """
     entries = [tuple(float(v) for v in row) for row in spec]
     if any(len(row) != 3 for row in entries):
@@ -124,11 +124,11 @@ def build_star_graph(spec: Iterable[Sequence[float]]) -> StarGraph:
                 f"bond {i}: all bonds must share one dx ({dx} != {dx0})"
             )
         n = round(length / dx)
-        if n < _MIN_CELLS or abs(n * dx - length) > _COMMENSURATE_RTOL * length:
-            raise ValueError(
-                f"bond {i}: length {length} is not a multiple of dx {dx} "
-                f"(need an integer cell count >= {_MIN_CELLS})"
-            )
+        if n < _MIN_CELLS:
+            raise ValueError(f"bond {i}: length {length} is shorter than the "
+                             f"minimum of {_MIN_CELLS} cells of dx {dx}")
+        if abs(n * dx - length) > _COMMENSURATE_RTOL * length:
+            raise ValueError(f"bond {i}: length {length} is not a multiple of dx {dx}")
         orientation = Orientation.INCOMING if i == 1 else Orientation.OUTGOING
         bonds.append(Bond(i, alpha, length, dx, orientation, n))
     return StarGraph(tuple(bonds))

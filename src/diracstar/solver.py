@@ -87,6 +87,9 @@ class SimParams:
         return self.dt / self.dx
 
     def validate(self) -> None:
+        for name in ("mass", "dt", "dx"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mass < 0:
             raise ValueError(f"mass must be non-negative, got {self.mass}")
         if self.dt <= 0 or self.dx <= 0:
@@ -108,6 +111,10 @@ class SpinorField:
     bonds.  The pads stay +0.  ``phi`` and ``chi`` are tuples of per-bond
     views into the buffers: write through them, never rebind them.  The
     constructor copies the given per-bond arrays into new buffers.
+
+    The buffers and the stencil scratch are the rows of one zero arena (see
+    ``_allocate``), each on a 64-byte boundary; the gap slots after each buffer
+    stay +0, so the guard reads phi and chi as one vector.
 
     After n accepted steps the stored phi sits at t = (n - 1/2) dt and chi
     at t = n dt.  ``bonds`` is the simulated domain: all graph bonds, or
@@ -142,27 +149,37 @@ class SpinorField:
         self.histories = {} if histories is None else histories
 
     def _pack(self, bonds: tuple[Bond, ...]) -> None:
-        """Lay the bonds out in two zero buffers and view them."""
+        """Lay the bonds out in a new zero arena and view it."""
         self.bonds, self._plan = bonds, None
         ends = list(accumulate(b.cells + 1 for b in bonds))
         self._cuts = [(slice(a, z), slice(a, z - 1)) for a, z in zip([0, *ends], ends)]
-        self._view(np.zeros(ends[-1], complex), np.zeros(ends[-1], complex))
+        self._allocate()
 
-    def _view(self, phi_buf: np.ndarray, chi_buf: np.ndarray) -> None:
+    def _allocate(self) -> None:
+        """View a new arena: zero rows phi, chi and stencil scratch, each
+        rounded up to 4 values (64 bytes) and all cut from one zero byte
+        array at its first 64-byte boundary."""
+        n = self._cuts[-1][0].stop
+        row = -(-n // 4) * 4
+        raw = np.zeros(3 * 16 * row + 64, np.uint8)
+        start = -raw.ctypes.data % 64
+        arena = raw[start:start + 3 * 16 * row].view(complex).reshape(3, row)
+        phi_buf, chi_buf, d = arena[0, :n], arena[1, :n], arena[2, :n - 1]
+        self._arena, self._state = arena, arena[:2].reshape(-1)
         self.phi_buf, self.chi_buf = phi_buf, chi_buf
         self.phi = tuple(phi_buf[p] for p, _ in self._cuts)
         self.chi = tuple(chi_buf[c] for _, c in self._cuts)
         # stencil operands: inner nodes, cells but the last pad, the values
         # they difference, and scratch for both stencils
-        d = np.empty(len(chi_buf) - 1, complex)
         self._operands = (phi_buf[1:-1], chi_buf[:-1], chi_buf[1:-1], chi_buf[:-2],
                           phi_buf[1:], phi_buf[:-1], d, d[:-1])
 
-    def _on(self, phi_buf: np.ndarray, chi_buf: np.ndarray) -> "SpinorField":
-        """This layout, state and plan on the given buffers, unchecked."""
+    def _twin(self) -> "SpinorField":
+        """This layout, time level, histories and plan on a new zero arena,
+        unchecked."""
         out = object.__new__(SpinorField)
         out.__dict__.update(vars(self))
-        out._view(phi_buf, chi_buf)
+        out._allocate()
         return out
 
     @classmethod
@@ -178,11 +195,11 @@ class SpinorField:
 
     def max_abs(self) -> float:
         """Largest |value| of phi and chi; NaN if any value is NaN."""
-        peaks = (np.max(np.abs(self.phi_buf)), np.max(np.abs(self.chi_buf)))
-        return float(np.maximum(*peaks))  # a NaN peak sticks
+        return float(np.max(np.abs(self._state)))  # a NaN sticks
 
     def copy(self) -> "SpinorField":
-        twin = self._on(self.phi_buf.copy(), self.chi_buf.copy())
+        twin = self._twin()
+        twin._state[:] = self._state
         twin.histories = copy.deepcopy(self.histories)
         return twin
 
@@ -288,13 +305,10 @@ def build_initial_field(
                 field.phi[j][-1] = 0.0
 
     if normalize:
-        from .diagnostics import partial_norm
+        from .diagnostics import total_norm
 
-        total = sum(partial_norm(field, j + 1, params) for j in range(field.n_bonds))
-        if total > 0:
-            scale = 1.0 / np.sqrt(total)
-            field.phi_buf *= scale
-            field.chi_buf *= scale
+        if (total := total_norm(field, params)) > 0:
+            field._state *= 1.0 / np.sqrt(total)
 
     field.initial_max = field.max_abs()
     return field
@@ -447,12 +461,12 @@ def step(
         plan = _StepPlan(field, graph, params, policy)
     phi, chi = field.phi_buf, field.chi_buf
     if out is None:
-        out = field._on(np.empty_like(phi), np.empty_like(chi))
+        out = field._twin()
     elif out is field:
         raise ValueError("out is the field being stepped; pass another field")
     elif out.bonds != field.bonds:
         raise ValueError("out has another bond layout than the field being stepped")
-    elif np.may_share_memory(out.phi_buf, phi) or np.may_share_memory(out.chi_buf, chi):
+    elif np.may_share_memory(out._arena, field._arena):
         raise ValueError("out shares memory with the field being stepped")
     level = field.time_level
     out.time_level, out.histories, out._plan = level + 1, field.histories, plan
@@ -492,15 +506,16 @@ def _check_stability(field: SpinorField, params: SimParams) -> None:
     """Raise InstabilityError iff ``not field.max_abs() <= limit``.
 
     max |z| <= ||a||_2, so a 2-norm of at most half the limit (the half
-    absorbs the dots' rounding) clears the step; NaN, inf and overflow fail
-    that bound, and only then is the exact peak computed.
+    absorbs the dot's rounding) clears the step; one dot covers phi, chi
+    and the +0 gaps between them.  NaN, inf and overflow fail that bound,
+    and only then is the exact peak computed.
     """
     # a zero initial field is guarded against non-finite values only
     limit = OVERFLOW_FACTOR * field.initial_max or sys.float_info.max
     # below 1e-150, squares of values near the limit could underflow
     if limit >= 1e-150:
-        sq = sum(np.vdot(a, a).real for a in (field.phi_buf, field.chi_buf))
-        if np.sqrt(sq) <= 0.5 * limit:
+        state = field._state
+        if np.sqrt(np.vdot(state, state).real) <= 0.5 * limit:
             return
     peak = field.max_abs()
     if not peak <= limit:  # true for NaN and inf too
@@ -509,29 +524,23 @@ def _check_stability(field: SpinorField, params: SimParams) -> None:
 
 def _instability_report(field: SpinorField, params: SimParams, peak: float) -> str:
     """Name the step, the location and class of the peak, and dt/dx."""
-    found = (-1.0, "", 0, 0)
-    for kind, arrays in (("phi node", field.phi), ("chi cell", field.chi)):
-        for j, a in enumerate(arrays):
-            if a.size:
-                mag = np.abs(a)
-                mag[np.isnan(mag)] = np.inf
-                k = int(np.argmax(mag))
-                if mag[k] > found[0]:
-                    found = (mag[k], kind, j, k)
-    _, kind, j, k = found
+    # the first peak in phi, bond after bond, then chi: the arena's order
+    mag = np.abs(field._state)
+    mag[np.isnan(mag)] = np.inf
+    row, k = divmod(int(np.argmax(mag)), field._arena.shape[1])
+    kind = ("phi node", "chi cell")[row]
+    j = sum(p.start <= k for p, _ in field._cuts) - 1
+    k -= field._cuts[j][0].start
     bond = field.bonds[j]
     vertex = bond.cells if bond.orientation is Orientation.INCOMING else 0
-    touched = {k} if kind == "phi node" else {k, k + 1}
+    touched = {k, k + row}  # a chi cell touches the nodes on both sides
     if vertex in touched:
         where = "vertex"
     elif bond.cells - vertex in touched:
         where = "end"
     else:
         where = "interior"
-    place = (
-        f"{kind} {k} of bond {bond.index} ({where}); "
-        f"dt/dx = {params.courant:g}"
-    )
+    place = f"{kind} {k} of bond {bond.index} ({where}); dt/dx = {params.courant:g}"
     if not np.isfinite(peak):
         return (
             f"non-finite field value at step {field.time_level}, "

@@ -45,6 +45,14 @@ def test_non_commensurate_length_rejected():
         build_star_graph([(1.0, 10.05, 0.1), (1.0, 10.0, 0.1)])
 
 
+@pytest.mark.parametrize("length", [0.025, 0.0375, 0.03])
+def test_too_short_bond_names_the_minimum_cell_count(length):
+    # 2 and 3 cells are whole multiples of dx; the cause is the minimum of 4
+    with pytest.raises(ValueError, match="bond 2: .* minimum of 4 cells") as err:
+        build_star_graph([(1.0, 1.0, 0.0125), (1.0, length, 0.0125)])
+    assert "not a multiple" not in str(err.value)
+
+
 def test_non_uniform_dx_rejected():
     with pytest.raises(ValueError, match="share one dx"):
         build_star_graph([(1.0, 10.0, 0.1), (1.0, 10.0, 0.05)])

@@ -5,8 +5,10 @@ weight vectors in [0.3, 3]^N, and steps both graphs in lockstep in one
 process, so vertex constants carried over from another graph show up.
 The stencil test draws one star per vertex mode, with random end modes,
 and checks each step against the expression form in ``oracles``; the
-spare test steps the same stars into a reused, NaN-filled field.
+spare test steps the same stars into a reused, NaN-filled field, and the
+arena test checks that every field on them sits on an aligned arena.
 """
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -112,11 +114,40 @@ def assert_packed(field):
     start = 0
     for p, c in zip(field.phi, field.chi):
         for view, buf in ((p, field.phi_buf), (c, field.chi_buf)):
-            assert view.base is buf
+            assert np.shares_memory(view, buf)
             assert view.ctypes.data - buf.ctypes.data == start * buf.itemsize
         start += len(p)
         assert field.chi_buf[start - 1 : start].tobytes() == bytes(16)
     assert start == len(field.phi_buf) == len(field.chi_buf)
+
+
+def test_packing_probe_rejects_a_view_outside_its_buffer():
+    # the probe accepts arena views; a view of another field's buffer at the
+    # same offset, a copy, or a view at another offset still fails it
+    graph, policy = closed_star((1.0, 1.0, 1.0), VertexMode.WEIGHTED)
+    field = packet(graph, policy)
+    assert_packed(field)
+    other = field.copy()
+    for moved in (
+        {"phi": (other.phi[0], *field.phi[1:])},
+        {"chi": (*field.chi[:-1], field.chi[-1].copy())},
+        {"chi": (field.chi[0], field.chi[2], field.chi[1])},
+    ):
+        bad = copy.copy(field)
+        vars(bad).update(moved)
+        with pytest.raises(AssertionError):
+            assert_packed(bad)
+
+
+def assert_aligned(field):
+    """phi, chi and the stencil scratch start on 64-byte boundaries, and the
+    arena slots after the phi and chi buffers are +0."""
+    scratch = field._operands[6]
+    for buf in (field.phi_buf, field.chi_buf, scratch):
+        assert buf.ctypes.data % 64 == 0
+    assert field._arena[:2, len(field.phi_buf):].tobytes() == bytes(
+        32 * (field._arena.shape[1] - len(field.phi_buf))
+    )
 
 
 def random_stars():
@@ -228,3 +259,23 @@ def test_random_star_step_into_a_spare_is_a_step_into_a_new_field(params, mode, 
         assert sorted(reused.histories) == sorted(fresh.histories)
         for key, h in fresh.histories.items():
             assert reused.histories[key][:].tobytes() == h[:].tobytes()
+
+
+@pytest.mark.parametrize("mode", list(VertexMode))
+@settings(max_examples=4, deadline=None)
+@given(random_stars())
+def test_every_field_sits_on_an_aligned_arena(mode, star):
+    # each way of making a field allocates an aligned arena, and 50 steps,
+    # into new fields and into two reused ones, NaN-filled before each step,
+    # leave the gaps +0
+    graph, policy = random_star(PARAMS, mode, star)
+    fresh = packet(graph, policy)
+    reused, spare = fresh.copy(), SpinorField.zeros(fresh.bonds)
+    values = [np.full(len(a), 1 + 2j) for a in fresh.phi + fresh.chi]
+    made = [fresh, reused, spare,
+            SpinorField(fresh.bonds, values[:fresh.n_bonds], values[fresh.n_bonds:])]
+    for _ in range(PARAMS.n_steps):
+        made.append(fresh := step(fresh, graph, PARAMS, policy))
+        reused, spare = step(reused, graph, PARAMS, policy, out=nan_filled(spare)), reused
+    for f in made:
+        assert_aligned(f)

@@ -269,6 +269,35 @@ def test_instability_names_step_bond_and_node_class():
     _check_stability(field, params)
 
 
+@pytest.mark.parametrize("component", ["phi", "chi"])
+def test_guard_verdicts_and_messages_on_either_row(component):
+    # phi and chi share one dot product and one peak reduction; a plant in
+    # either row keeps its verdict and the message that names it
+    g = canonical_graph()
+    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    field = random_field(g, np.random.default_rng(11))
+    field.time_level = 7
+    limit = OVERFLOW_FACTOR * field.initial_max
+    kind = {"phi": "phi node", "chi": "chi cell"}[component]
+    place = f"{kind} 10 of bond 2 (interior); dt/dx = 0.8"
+    above = np.nextafter(limit, np.inf)
+    planted = {
+        np.nan: f"non-finite field value at step 7, first at {place}",
+        np.inf: f"non-finite field value at step 7, first at {place}",
+        above: (f"field grew to {above:.3e} at step 7 ({above / field.initial_max:.1e}"
+                f" x initial), peak at {place}"),
+    }
+    for value, message in planted.items():
+        bad = field.copy()
+        getattr(bad, component)[1][10] = value
+        with pytest.raises(InstabilityError) as err:
+            _check_stability(bad, params)
+        assert str(err.value) == message
+    ok = field.copy()
+    getattr(ok, component)[1][10] = np.nextafter(limit, 0.0)
+    _check_stability(ok, params)
+
+
 def _guard_plants(limit):
     """Values near every edge of the guard: limit, underflow, overflow, NaN."""
     return (
@@ -340,6 +369,14 @@ def test_sim_params_validation():
         SimParams(mass=0.01, dt=0.0, dx=0.0125, n_steps=10).validate()
     with pytest.raises(ValueError, match="n_steps must be non-negative, got -1"):
         SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=-1).validate()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["mass", "dt", "dx"])
+def test_sim_params_rejects_non_finite_values(name, value):
+    params = replace(SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=10), **{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        params.validate()
 
 
 def test_field_shape_must_match_bonds():
