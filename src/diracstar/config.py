@@ -1,10 +1,10 @@
 """Declarative experiment configuration and the sectioned config-file parser.
 
 The on-disk format is INI-style (configparser syntax).  Sections and keys,
-all lowercase, unknown ones rejected:
+all lowercase, unknown ones rejected; ``_KEYS`` maps each key to its field:
 
     [graph]       dx
-    [bond J]      alpha, length, end_mode (dirichlet | transparent)
+    [bond j]      alpha, length, end_mode (dirichlet | transparent)
     [boundary]    vertex_mode (kirchhoff | weighted | transparent)
     [simulation]  mass, dt, n_steps
     [initial]     bond, x0, sigma, amplitude, normalize_initial
@@ -12,20 +12,21 @@ all lowercase, unknown ones rejected:
     [output]      directory
     [sweep]       param, from, to, points            (optional)
 
-Bond sections must be numbered 1..N contiguously; bond 1 is the incoming
-bond.  See the README for a worked example.
+A key is required exactly when its field has no default ([sweep] keys only
+when [sweep] is given).  Bond sections must be numbered 1..N contiguously;
+bond 1 is the incoming bond.  See the README for a worked example.
 """
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .bessel import BesselKernel, kernel_overflow
 from .boundaries import BoundaryPolicy, EndMode, VertexMode
 from .graph import StarGraph, build_star_graph
-from .solver import SimParams
+from .solver import SimParams, check_packet
 
 __all__ = ["ConfigError", "SweepSpec", "ExperimentConfig", "load_config"]
 
@@ -34,17 +35,48 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+def _checked(section: str, rule, *args):
+    """``rule(*args)``, its ValueError raised as a ConfigError on ``section``."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
+def _mode(kind, value: str, section: str, key: str):
+    """``kind(value)``, or a ConfigError that lists the valid modes."""
+    try:
+        return kind(value)
+    except ValueError:
+        *most, last = (m.value for m in kind)
+        raise ConfigError(
+            f"[{section}] {key} must be {', '.join(most)} or {last}, got {value!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    param: str
     start: float
     stop: float
     points: int
+    param: str = "alpha1"
+
+    def validate(self) -> None:
+        """The sweep rule: alpha1 over >= 2 points of a positive, finite range."""
+        if self.param != "alpha1":
+            raise ValueError(f"unsupported parameter {self.param!r}")
+        if self.points < 2:
+            raise ValueError(f"points must be >= 2, got {self.points}")
+        if not (0 < self.start < math.inf and 0 < self.stop < math.inf):
+            raise ValueError(f"alpha range must be positive and finite, got "
+                             f"{self.start} to {self.stop}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one run or sweep."""
+    """Full description of one run or sweep: each field but ``sweep`` is a
+    config key (see ``_KEYS``) and holds its key's default.  An empty
+    ``end_modes`` puts a wall (dirichlet) at every far end."""
 
     alphas: tuple[float, ...]
     lengths: tuple[float, ...]
@@ -65,50 +97,26 @@ class ExperimentConfig:
     sweep: SweepSpec | None = None
 
     def validate(self) -> None:
-        real = [("graph", "dx", self.dx), ("simulation", "mass", self.mass),
-                ("simulation", "dt", self.dt), ("initial", "x0", self.x0),
-                ("initial", "sigma", self.sigma),
-                ("initial", "amplitude", self.amplitude)]
-        for j, (alpha, length) in enumerate(zip(self.alphas, self.lengths), 1):
-            real += [(f"bond {j}", "alpha", alpha), (f"bond {j}", "length", length)]
-        if self.sweep is not None:
-            real += [("sweep", "from", self.sweep.start),
-                     ("sweep", "to", self.sweep.stop)]
-        for section, key, value in real:
-            if not math.isfinite(value):
-                raise ConfigError(f"[{section}] {key} must be finite, got {value}")
-        n = len(self.alphas)
-        if n < 2:
-            raise ConfigError(f"graph needs at least 2 bonds, got {n}")
-        if len(self.lengths) != n:
-            raise ConfigError("one length per bond required")
-        ends = self.end_modes or ("dirichlet",) * n
-        if len(ends) != n:
-            raise ConfigError("one end_mode per bond required")
-        try:
-            graph = self.build_graph()
-        except ValueError as exc:
-            raise ConfigError(f"[graph/bond] {exc}") from None
-        try:
-            self.sim_params().validate()
-        except ValueError as exc:
-            raise ConfigError(f"[simulation] {exc}") from None
-        try:
-            VertexMode(self.vertex_mode)
-        except ValueError:
-            raise ConfigError(
-                f"[boundary] vertex_mode must be kirchhoff, weighted or "
-                f"transparent, got {self.vertex_mode!r}"
-            ) from None
+        """Raise a ConfigError naming the section, key and cause of the
+        first invalid input."""
+        for section, key, name in _REAL:  # the real-valued keys
+            owner = self.sweep if section == "sweep" else self
+            if owner is not None:
+                value = getattr(owner, name)
+                for j, v in enumerate(value if section == _BOND else (value,), 1):
+                    if not math.isfinite(v):
+                        where = f"bond {j}" if section == _BOND else section
+                        raise ConfigError(f"[{where}] {key} must be finite, got {v}")
+        n, ends = len(self.alphas), self._ends()
+        for key, values in (("length", self.lengths), ("end_mode", ends)):
+            if len(values) != n:
+                raise ConfigError(f"one {key} per bond required")
+        graph = _checked("graph/bond", self.build_graph)
+        _checked("simulation", self.sim_params().validate)
+        vertex = _mode(VertexMode, self.vertex_mode, "boundary", "vertex_mode")
         for j, mode in enumerate(ends, start=1):
-            try:
-                EndMode(mode)
-            except ValueError:
-                raise ConfigError(
-                    f"[bond {j}] end_mode must be dirichlet or transparent, "
-                    f"got {mode!r}"
-                ) from None
-            if j > 1 and mode == "transparent" and self.vertex_mode == "transparent":
+            end = _mode(EndMode, mode, f"bond {j}", "end_mode")
+            if j > 1 and end is EndMode.TRANSPARENT and vertex is VertexMode.TRANSPARENT:
                 raise ConfigError(
                     f"[bond {j}] end_mode = transparent has no effect: a "
                     "transparent vertex simulates bond 1 only"
@@ -120,17 +128,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"[initial] bond must be in 1..{n}, got {self.source_bond}"
             )
-        if self.vertex_mode == "transparent" and self.source_bond != 1:
+        if vertex is VertexMode.TRANSPARENT and self.source_bond != 1:
             raise ConfigError(
                 "[initial] transparent vertex mode simulates bond 1 only"
             )
-        if self.sigma <= 0:
-            raise ConfigError(f"[initial] sigma must be positive, got {self.sigma}")
-        bond = graph.bonds[self.source_bond - 1]
-        if not bond.contains(self.x0):
-            raise ConfigError(
-                f"[initial] x0 = {self.x0} lies outside bond {self.source_bond}"
-            )
+        _checked("initial", check_packet, self.x0, self.sigma,
+                 graph.bonds[self.source_bond - 1])
         if self.sample_every < 1:
             raise ConfigError(
                 f"[sampling] sample_every must be >= 1, got {self.sample_every}"
@@ -149,13 +152,11 @@ class ExperimentConfig:
                 )
             snap_steps[n] = t
         if self.sweep is not None:
-            s = self.sweep
-            if s.param != "alpha1":
-                raise ConfigError(f"[sweep] unsupported parameter {s.param!r}")
-            if s.points < 2:
-                raise ConfigError(f"[sweep] points must be >= 2, got {s.points}")
-            if s.start <= 0 or s.stop <= 0:
-                raise ConfigError("[sweep] alpha range must be positive")
+            _checked("sweep", self.sweep.validate)
+
+    def _ends(self) -> tuple[str, ...]:
+        """``end_modes``, with the empty default resolved."""
+        return self.end_modes or (_WALL,) * len(self.alphas)
 
     def snapshot_steps(self) -> list[int]:
         """Step nearest to each snapshot time; snapshots are taken there."""
@@ -177,9 +178,7 @@ class ExperimentConfig:
     def build_policy(self) -> BoundaryPolicy:
         """Boundary policy, with the kernel when a boundary is transparent."""
         vertex = VertexMode(self.vertex_mode)
-        ends = tuple(
-            EndMode(m) for m in (self.end_modes or ("dirichlet",) * len(self.alphas))
-        )
+        ends = tuple(map(EndMode, self._ends()))
         kernel = None
         if vertex is VertexMode.TRANSPARENT or EndMode.TRANSPARENT in ends:
             kernel = BesselKernel.build(self.mass, self.dt, self.n_steps)
@@ -191,38 +190,51 @@ class ExperimentConfig:
         )
 
 
-_REQUIRED_SECTIONS = ("graph", "simulation", "initial")
-_SECTION_KEYS = {
-    "graph": {"dx"},
-    "boundary": {"vertex_mode"},
-    "simulation": {"mass", "dt", "n_steps"},
-    "initial": {"bond", "x0", "sigma", "amplitude", "normalize_initial"},
-    "sampling": {"sample_every", "snapshot_times"},
-    "output": {"directory"},
-    "sweep": {"param", "from", "to", "points"},
-}
-_BOND_KEYS = {"alpha", "length", "end_mode"}
-
-
-def _get(parser, section, key, cast, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] missing required key '{key}'")
-        return default
-    raw = parser.get(section, key)
+def _bool(raw: str) -> bool:
     try:
-        if cast is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} as {cast.__name__}"
-        ) from None
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split())
+
+
+_BOND = "bond j"  # the table's name for every [bond <j>] section
+_WALL = EndMode.DIRICHLET.value  # the mode of a far end that names none
+
+# Every config key once: (section, key) -> (field, parser).  A [bond j] key
+# fills entry j of a tuple field, a [sweep] key a SweepSpec field, any other
+# key an ExperimentConfig field.
+_KEYS = {
+    ("graph", "dx"): ("dx", float),
+    (_BOND, "alpha"): ("alphas", float),
+    (_BOND, "length"): ("lengths", float),
+    (_BOND, "end_mode"): ("end_modes", str),
+    ("boundary", "vertex_mode"): ("vertex_mode", str),
+    ("simulation", "mass"): ("mass", float),
+    ("simulation", "dt"): ("dt", float),
+    ("simulation", "n_steps"): ("n_steps", int),
+    ("initial", "bond"): ("source_bond", int),
+    ("initial", "x0"): ("x0", float),
+    ("initial", "sigma"): ("sigma", float),
+    ("initial", "amplitude"): ("amplitude", float),
+    ("initial", "normalize_initial"): ("normalize_initial", _bool),
+    ("sampling", "sample_every"): ("sample_every", int),
+    ("sampling", "snapshot_times"): ("snapshot_times", _floats),
+    ("output", "directory"): ("output_dir", str),
+    ("sweep", "param"): ("param", str),
+    ("sweep", "from"): ("start", float),
+    ("sweep", "to"): ("stop", float),
+    ("sweep", "points"): ("points", int),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+_REAL = [(s, k, name) for (s, k), (name, parse) in _KEYS.items() if parse is float]
+_REQUIRED = {
+    f.name for cls in (ExperimentConfig, SweepSpec) for f in fields(cls)
+    if f.default is MISSING and f.default_factory is MISSING
+}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -235,90 +247,48 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    bond_sections = {}
+    bonds = {}
     for section in parser.sections():
+        kind = section
         if section.startswith("bond "):
             try:
-                idx = int(section.split(None, 1)[1])
+                bonds[int(section[len("bond "):])] = section
             except ValueError:
                 raise ConfigError(f"[{section}] bond sections are '[bond <j>]'")
-            bond_sections[idx] = section
-            unknown = set(parser.options(section)) - _BOND_KEYS
-            if unknown:
-                raise ConfigError(
-                    f"[{section}] unknown keys: {', '.join(sorted(unknown))}"
-                )
-        elif section in _SECTION_KEYS:
-            unknown = set(parser.options(section)) - _SECTION_KEYS[section]
-            if unknown:
-                raise ConfigError(
-                    f"[{section}] unknown keys: {', '.join(sorted(unknown))}"
-                )
-        else:
+            kind = _BOND
+        if kind not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+        if unknown := [k for k in parser.options(section) if (kind, k) not in _KEYS]:
+            raise ConfigError(f"[{section}] unknown keys: {', '.join(sorted(unknown))}")
+    if sorted(bonds) != list(range(1, len(bonds) + 1)):
+        raise ConfigError(f"bond sections must be numbered 1..N, got {sorted(bonds)}")
+    bond_sections = [bonds[j] for j in sorted(bonds)] or [_BOND]
 
-    missing = [s for s in _REQUIRED_SECTIONS if not parser.has_section(s)]
-    if missing or not bond_sections:
-        need = missing + ([] if bond_sections else ["bond 1", "bond 2", "..."])
-        raise ConfigError(
-            f"{path}: missing required sections: "
-            + ", ".join(f"[{s}]" for s in need)
-            + " (required keys: [graph] dx; [bond j] alpha, length; "
-            "[simulation] mass, dt, n_steps; [initial] x0, sigma)"
-        )
-    if sorted(bond_sections) != list(range(1, len(bond_sections) + 1)):
-        raise ConfigError(
-            f"bond sections must be numbered 1..N, got {sorted(bond_sections)}"
-        )
-
-    alphas, lengths, ends = [], [], []
-    for j in range(1, len(bond_sections) + 1):
-        sec = bond_sections[j]
-        alphas.append(_get(parser, sec, "alpha", float, required=True))
-        lengths.append(_get(parser, sec, "length", float, required=True))
-        ends.append(_get(parser, sec, "end_mode", str, default="dirichlet"))
-
-    snapshot_raw = _get(parser, "sampling", "snapshot_times", str, default="") \
-        if parser.has_section("sampling") else ""
-    try:
-        snapshot_times = tuple(float(v) for v in snapshot_raw.split())
-    except ValueError:
-        raise ConfigError(
-            f"[sampling] snapshot_times: cannot parse {snapshot_raw!r}"
-        ) from None
-
-    sweep = None
-    if parser.has_section("sweep"):
-        sweep = SweepSpec(
-            param=_get(parser, "sweep", "param", str, default="alpha1"),
-            start=_get(parser, "sweep", "from", float, required=True),
-            stop=_get(parser, "sweep", "to", float, required=True),
-            points=_get(parser, "sweep", "points", int, required=True),
-        )
-
-    config = ExperimentConfig(
-        alphas=tuple(alphas),
-        lengths=tuple(lengths),
-        dx=_get(parser, "graph", "dx", float, required=True),
-        mass=_get(parser, "simulation", "mass", float, required=True),
-        dt=_get(parser, "simulation", "dt", float, required=True),
-        n_steps=_get(parser, "simulation", "n_steps", int, required=True),
-        x0=_get(parser, "initial", "x0", float, required=True),
-        sigma=_get(parser, "initial", "sigma", float, required=True),
-        source_bond=_get(parser, "initial", "bond", int, default=1),
-        amplitude=_get(parser, "initial", "amplitude", float, default=1.0),
-        normalize_initial=_get(
-            parser, "initial", "normalize_initial", bool, default=True
-        ),
-        vertex_mode=_get(parser, "boundary", "vertex_mode", str, default="weighted")
-        if parser.has_section("boundary") else "weighted",
-        end_modes=tuple(ends),
-        sample_every=_get(parser, "sampling", "sample_every", int, default=10)
-        if parser.has_section("sampling") else 10,
-        snapshot_times=snapshot_times,
-        output_dir=_get(parser, "output", "directory", str)
-        if parser.has_section("output") else None,
-        sweep=sweep,
-    )
+    config_args: dict = {}
+    sweep_args: dict = {}
+    missing: dict[str, list[str]] = {}
+    for (section, key), (name, parse) in _KEYS.items():
+        required = name in _REQUIRED and (
+            section != "sweep" or parser.has_section(section))
+        values = []
+        for s in bond_sections if section == _BOND else [section]:
+            raw = parser.get(s, key) if parser.has_option(s, key) else None
+            if raw is None and required:
+                missing.setdefault(s, []).append(key)
+            try:
+                values.append(raw if raw is None else parse(raw))
+            except ValueError:
+                raise ConfigError(f"[{s}] {key}: cannot parse {raw!r} as "
+                                  f"{parse.__name__.lstrip('_')}") from None
+        args = sweep_args if section == "sweep" else config_args
+        if section == _BOND:  # end_mode is the one optional bond key
+            args[name] = tuple(_WALL if v is None else v for v in values)
+        elif values[0] is not None:
+            args[name] = values[0]
+    if missing:
+        raise ConfigError(f"{path}: missing required keys (" + "; ".join(
+            f"[{s}] {', '.join(keys)}" for s, keys in missing.items()) + ")")
+    sweep = SweepSpec(**sweep_args) if parser.has_section("sweep") else None
+    config = ExperimentConfig(**config_args, sweep=sweep)
     config.validate()
     return config

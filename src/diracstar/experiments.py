@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .boundaries import BoundaryPolicy, vertex_tbc_factor
-from .config import ExperimentConfig
+from .config import ExperimentConfig, SweepSpec
 from .graph import sum_rule_residual
 from .solver import RunResult, run
 
@@ -32,12 +33,34 @@ def _time_label(t: float) -> str:
     return short if float(short) == t else repr(t)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
+def _csv(header: list[str], rows: list[list[float]]) -> str:
     # "%.17g" % v prints what format(float(v), ".17g") prints
     fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
     lines += [fmt % tuple(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _json(summary: dict) -> str:
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def _write_all(out: Path, files: Iterable[tuple[str, str]]) -> None:
+    """Write each (name, text) of ``files`` into ``out``, all or nothing.
+
+    ``files`` may be a generator that makes each text as it is asked for.
+    If making or writing any file fails, the files this call wrote are
+    removed before the exception propagates.
+    """
+    written: list[Path] = []
+    try:
+        for name, text in files:
+            written.append(out / name)
+            written[-1].write_text(text)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _resolve_out_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
@@ -85,50 +108,34 @@ def _summary_of(result: RunResult, config: ExperimentConfig) -> dict:
 def run_experiment(
     config: ExperimentConfig, out_dir: str | Path | None = None
 ) -> dict:
-    """Run one configured simulation and write its artifacts.
+    """Run one configured simulation and write its artifacts, all or none.
 
-    Returns the summary dictionary (also written to summary.json).  On any
-    failure the files created by this call are removed before the exception
-    propagates.
+    Returns the summary dictionary (also written to summary.json).
     """
     out = _resolve_out_dir(config, out_dir)
-    created: list[Path] = []
-    try:
-        result = run(config)
+    result = run(config)
+    summary: dict = {}
 
-        ts_path = out / "timeseries.csv"
+    def files():
         k = len(result.records[0].partial_norms)
-        header = ["t"] + [f"N_{j + 1}" for j in range(k)] + ["total", "E", "R"]
-        rows = [
-            [r.t, *r.partial_norms, r.total_norm, r.energy, r.reflection]
-            for r in result.records
-        ]
-        created.append(ts_path)
-        _write_csv(ts_path, header, rows)
-
+        yield "timeseries.csv", _csv(
+            ["t"] + [f"N_{j + 1}" for j in range(k)] + ["total", "E", "R"],
+            [[r.t, *r.partial_norms, r.total_norm, r.energy, r.reflection]
+             for r in result.records],
+        )
         for snap in result.snapshots:
-            label = _time_label(snap.time)
-            path = out / f"snapshot_bond{snap.bond_index}_t{label}.csv"
-            created.append(path)
-            rows = np.column_stack((
-                snap.x, snap.phi.real, snap.phi.imag,
-                snap.chi.real, snap.chi.imag, snap.density,
-            )).tolist()
-            _write_csv(
-                path,
+            yield f"snapshot_bond{snap.bond_index}_t{_time_label(snap.time)}.csv", _csv(
                 ["x", "re_phi", "im_phi", "re_chi", "im_chi", "density"],
-                rows,
+                np.column_stack((
+                    snap.x, snap.phi.real, snap.phi.imag,
+                    snap.chi.real, snap.chi.imag, snap.density,
+                )).tolist(),
             )
+        summary.update(_summary_of(result, config))
+        yield "summary.json", _json(summary)
 
-        summary = _summary_of(result, config)
-        summary_path = out / "summary.json"
-        created.append(summary_path)
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return summary
-    except Exception:
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
+    _write_all(out, files())
+    return summary
 
 
 def _sweep_point(config: ExperimentConfig, value: float, policy: BoundaryPolicy) -> float:
@@ -149,10 +156,7 @@ def sweep_alpha1(
     replaced, run in sweep order.  Per-point failures are recorded in the
     summary and the sweep continues.
     """
-    if points < 2:
-        raise ValueError(f"sweep needs at least 2 points, got {points}")
-    if start <= 0 or stop <= 0:
-        raise ValueError("alpha1 sweep range must be positive")
+    SweepSpec(start, stop, points).validate()
     out = _resolve_out_dir(config, out_dir)
 
     policy = config.build_policy()  # alpha1 changes neither modes nor kernel
@@ -168,34 +172,18 @@ def sweep_alpha1(
                  "error": f"{type(exc).__name__}: {exc}"}
             )
 
-    created: list[Path] = []
-    try:
-        csv_path = out / "sweep.csv"
-        created.append(csv_path)
-        _write_csv(
-            csv_path,
-            ["alpha1", "R_final"],
-            [[float(v), r] for v, r in zip(values, reflections)],
-        )
-
-        finite = [
-            (r, float(v)) for v, r in zip(values, reflections) if np.isfinite(r)
-        ]
-        summary: dict = {
-            "points": points,
-            "from": float(start),
-            "to": float(stop),
-            "failures": failures,
-        }
-        if finite:
-            min_r, argmin = min(finite)
-            summary["min_reflection"] = min_r
-            summary["argmin_alpha1"] = argmin
-        summary_path = out / "sweep_summary.json"
-        created.append(summary_path)
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return summary
-    except Exception:
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
+    summary: dict = {
+        "points": points,
+        "from": float(start),
+        "to": float(stop),
+        "failures": failures,
+    }
+    finite = [(r, float(v)) for v, r in zip(values, reflections) if np.isfinite(r)]
+    if finite:
+        summary["min_reflection"], summary["argmin_alpha1"] = min(finite)
+    _write_all(out, [
+        ("sweep.csv", _csv(["alpha1", "R_final"],
+                           [[float(v), r] for v, r in zip(values, reflections)])),
+        ("sweep_summary.json", _json(summary)),
+    ])
+    return summary

@@ -8,6 +8,7 @@ positive coupling weight alpha used by the weighted vertex conditions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -99,8 +100,9 @@ def build_star_graph(spec: Iterable[Sequence[float]]) -> StarGraph:
     The first entry becomes the incoming bond.  All bonds must share one grid
     spacing, every length must be an integer number of cells, and N >= 2.
 
-    Raises ValueError for N < 2, non-positive parameters, non-uniform dx, a
-    bond of fewer than 4 cells or a length that does not fit the grid.
+    Raises ValueError, naming the bond and field, for N < 2, a non-finite or
+    non-positive parameter, non-uniform dx, a bond of fewer than 4 cells or
+    a length that does not fit the grid.
     """
     entries = [tuple(float(v) for v in row) for row in spec]
     if any(len(row) != 3 for row in entries):
@@ -113,12 +115,11 @@ def build_star_graph(spec: Iterable[Sequence[float]]) -> StarGraph:
     dx0 = entries[0][2]
     bonds = []
     for i, (alpha, length, dx) in enumerate(entries, start=1):
-        if alpha <= 0:
-            raise ValueError(f"bond {i}: alpha must be positive, got {alpha}")
-        if length <= 0:
-            raise ValueError(f"bond {i}: length must be positive, got {length}")
-        if dx <= 0:
-            raise ValueError(f"bond {i}: dx must be positive, got {dx}")
+        for name, value in (("alpha", alpha), ("length", length), ("dx", dx)):
+            if not math.isfinite(value):
+                raise ValueError(f"bond {i}: {name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"bond {i}: {name} must be positive, got {value}")
         if dx != dx0:
             raise ValueError(
                 f"bond {i}: all bonds must share one dx ({dx} != {dx0})"

@@ -29,6 +29,7 @@ vertex is invisible there.
 from __future__ import annotations
 
 import copy
+import math
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
@@ -204,20 +205,25 @@ class SpinorField:
         return twin
 
 
+def check_packet(x0: float, sigma: float, bond: Bond) -> None:
+    """The packet rule: sigma finite and positive, x0 on the bond."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not bond.contains(x0):
+        raise ValueError(f"x0 = {x0} lies outside bond {bond.index}")
+
+
 def gaussian_spinor(x0: float, sigma: float, bond: Bond) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian spinor fragment sampled on one bond's staggered nodes.
 
     Both components are G(x) = (2 pi sigma^2)^(-1/4) exp(-(x-x0)^2/(4 sigma^2))
     sampled at the phi nodes and chi cell centres respectively, i.e. the
     spinor direction is (1, 1)^T, a right-moving packet in the massless
-    limit.  x0 must lie inside the bond.
+    limit.  ``check_packet`` must hold.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not bond.contains(x0):
-        raise ValueError(
-            f"x0 = {x0} lies outside bond {bond.index}"
-        )
+    check_packet(x0, sigma, bond)
 
     def profile(x: np.ndarray) -> np.ndarray:
         norm = (2.0 * np.pi * sigma ** 2) ** (-0.25)

@@ -7,6 +7,7 @@ import pytest
 import diracstar.experiments as experiments_module
 from diracstar import (
     BesselKernel,
+    ConfigError,
     InstabilityError,
     load_config,
     run,
@@ -14,6 +15,7 @@ from diracstar import (
     sweep_alpha1,
 )
 from diracstar.cli import main
+from diracstar.config import SweepSpec
 
 from .conftest import CONFIG_DIR
 
@@ -68,7 +70,7 @@ def test_csv_rows_print_as_format_17g(tmp_path):
               np.float64(2.0 / 3.0)]
     rows = [[v, -v] for v in values]
     path = tmp_path / "rows.csv"
-    experiments_module._write_csv(path, ["a", "b"], rows)
+    path.write_text(experiments_module._csv(["a", "b"], rows))
     expected = ["a,b"] + [
         ",".join(format(float(v), ".17g") for v in row) for row in rows
     ]
@@ -160,6 +162,43 @@ def test_failed_run_removes_partial_outputs(fast_config, tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         run_experiment(fast_config, tmp_path)
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_artifact_writer_is_all_or_nothing(tmp_path):
+    def files():
+        yield "a.csv", "1\n"
+        raise RuntimeError("making the second file failed")
+
+    with pytest.raises(RuntimeError):
+        experiments_module._write_all(tmp_path, files())
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "b.json").mkdir()  # writing b.json fails
+    with pytest.raises(OSError):
+        experiments_module._write_all(tmp_path, [("a.csv", "1\n"), ("b.json", "{}")])
+    assert [p.name for p in tmp_path.iterdir()] == ["b.json"]
+
+
+@pytest.mark.parametrize("start, stop, points, cause", [
+    (0.4, 1.4, 1, "points must be >= 2, got 1"),
+    (-0.4, 1.4, 3, "alpha range must be positive"),
+    (0.4, 0.0, 3, "alpha range must be positive"),
+])
+def test_sweep_range_rule_shared_with_config(fast_config, tmp_path, start, stop,
+                                             points, cause):
+    with pytest.raises(ValueError, match=f"^{cause}"):
+        sweep_alpha1(fast_config, start, stop, points, tmp_path)
+    configured = replace(fast_config, sweep=SweepSpec(start, stop, points))
+    with pytest.raises(ConfigError, match=rf"^\[sweep\] {cause}"):
+        configured.validate()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("start, stop", [(0.4, np.inf), (np.nan, 1.4)])
+def test_sweep_rejects_non_finite_range(fast_config, tmp_path, start, stop):
+    # unchecked, every point failed on its own and the sweep wrote its files
+    with pytest.raises(ValueError, match="alpha range must be positive and finite"):
+        sweep_alpha1(fast_config, start, stop, 3, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_interior_only_run_artifacts(fast_config, tmp_path):

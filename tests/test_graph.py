@@ -58,6 +58,17 @@ def test_non_uniform_dx_rejected():
         build_star_graph([(1.0, 10.0, 0.1), (1.0, 10.0, 0.05)])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["alpha", "length", "dx"])
+def test_non_finite_bond_input_names_bond_and_field(field, value):
+    # unchecked, a NaN alpha surfaced as an instability at step 1, an
+    # infinite one ran, and an infinite length raised OverflowError
+    bonds = [{"alpha": 1.0, "length": 10.0, "dx": 0.1} for _ in range(2)]
+    bonds[1][field] = value
+    with pytest.raises(ValueError, match=rf"^bond 2: {field} must be finite, got {value}$"):
+        build_star_graph([(b["alpha"], b["length"], b["dx"]) for b in bonds])
+
+
 @pytest.mark.parametrize("bad", [(0.0, 10.0, 0.1), (-1.0, 10.0, 0.1)])
 def test_non_positive_alpha_rejected(bad):
     with pytest.raises(ValueError, match="alpha"):

@@ -79,6 +79,19 @@ def test_gaussian_rejects_bad_arguments():
         gaussian_spinor(-5.0, 0.9, g.bonds[1])
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_non_finite_sigma_named_as_the_cause(sigma):
+    # unchecked, sigma = inf built an all-zero field that ran without error
+    # and sigma = nan surfaced as an instability at step 1
+    g = line_graph()
+    cause = rf"^sigma must be finite, got {sigma}$"
+    with pytest.raises(ValueError, match=cause):
+        gaussian_spinor(-5.0, sigma, g.bonds[0])
+    with pytest.raises(ValueError, match=cause):
+        build_initial_field(g, SimParams(0.0, 0.01, 0.0125, 10), dirichlet_policy(g),
+                            x0=-5.0, sigma=sigma)
+
+
 def test_gaussian_continuum_norm_is_two():
     # each component integrates to 1, so |phi|^2 + |chi|^2 integrates to 2
     g = build_star_graph([(1.0, 40.0, 0.002), (1.0, 40.0, 0.002)])
