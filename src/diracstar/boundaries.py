@@ -74,22 +74,18 @@ def vertex_tbc_factor(alphas: Sequence[float]) -> float:
 
 
 class _History:
-    """Boundary values in a complex numpy array that doubles when full.
+    """Boundary values in a complex numpy array of ``capacity`` entries.
 
     The first value is stored halved, taking the trapezoid's half weight
     off the kernel (exact above 2^-1021, so the sums round the same).
     Indexing sees the filled part only; a slice is a view, read as is.
     """
 
-    _CAPACITY = 64
-
-    def __init__(self) -> None:
-        self._data = np.empty(self._CAPACITY, dtype=complex)
+    def __init__(self, capacity: int) -> None:
+        self._data = np.empty(capacity, dtype=complex)
         self._size = 0
 
     def append(self, value: complex) -> None:
-        if self._size == len(self._data):
-            self._data = np.concatenate((self._data, np.empty_like(self._data)))
         self._data[self._size] = value if self._size else 0.5 * value
         self._size += 1
 

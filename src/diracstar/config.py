@@ -240,7 +240,8 @@ _REQUIRED = {
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config file; unknown sections or keys reject."""
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -66,6 +66,24 @@ def _chi_at_nodes(field: "SpinorField", b: int) -> np.ndarray:
     return out
 
 
+def _chi_part(field: "SpinorField", b: int) -> np.float64:
+    """Midpoint sum of |chi|^2 over bond b, shared by its norm and energy."""
+    return np.sum(np.abs(field.chi[b]) ** 2)
+
+
+def _bond_norm(field: "SpinorField", b: int, params: "SimParams", chi_part) -> float:
+    p2 = np.abs(_phi_at_nodes(field, b, params)) ** 2
+    return float(params.dx * (p2.sum() - 0.5 * (p2[0] + p2[-1]) + chi_part))
+
+
+def _bond_energy(field: "SpinorField", b: int, params: "SimParams", chi_part):
+    p, c = field.phi[b], field.chi[b]
+    p2 = np.abs(p) ** 2
+    cross = np.sum(((p[1:] - p[:-1]) * np.conj(c)).real)
+    return params.dx * (p2.sum() - 0.5 * (p2[0] + p2[-1]) + chi_part
+                        + params.courant * cross)
+
+
 def partial_norm(field: "SpinorField", bond_index: int, params: "SimParams") -> float:
     """Norm contribution of one bond: integral of |phi|^2 + |chi|^2.
 
@@ -73,10 +91,7 @@ def partial_norm(field: "SpinorField", bond_index: int, params: "SimParams") -> 
     cell-centred chi, matching the staggering at second order.
     """
     b = bond_index - 1
-    p2 = np.abs(_phi_at_nodes(field, b, params)) ** 2
-    phi_part = p2.sum() - 0.5 * (p2[0] + p2[-1])
-    chi_part = np.sum(np.abs(field.chi[b]) ** 2)
-    return float(params.dx * (phi_part + chi_part))
+    return _bond_norm(field, b, params, _chi_part(field, b))
 
 
 def total_norm(field: "SpinorField", params: "SimParams") -> float:
@@ -121,29 +136,8 @@ def energy(field: "SpinorField", params: "SimParams") -> float:
     quadrature as partial_norm; the half weights at the bond end nodes are
     what makes the vertex update conserve E exactly.
     """
-    total = 0.0
-    lam = params.courant
-    for p, c in zip(field.phi, field.chi):
-        p2 = np.abs(p) ** 2
-        phi_part = p2.sum() - 0.5 * (p2[0] + p2[-1])
-        chi_part = np.sum(np.abs(c) ** 2)
-        cross = np.sum(((p[1:] - p[:-1]) * np.conj(c)).real)
-        total += params.dx * (phi_part + chi_part + lam * cross)
-    return float(total)
-
-
-def _endpoint_values(
-    field: "SpinorField", b: int, upper: bool
-) -> tuple[complex, complex]:
-    """(phi, chi) of bond b at its upper or lower coordinate endpoint.
-
-    chi is extrapolated to the endpoint from the two nearest cells,
-    chi(end) ~ (3 chi_1 - chi_2) / 2.
-    """
-    phi, chi = field.phi[b], field.chi[b]
-    if upper:
-        return phi[-1], 0.5 * (3.0 * chi[-1] - chi[-2])
-    return phi[0], 0.5 * (3.0 * chi[0] - chi[1])
+    return float(sum(_bond_energy(field, b, params, _chi_part(field, b))
+                     for b in range(field.n_bonds)))
 
 
 def boundary_form(
@@ -162,11 +156,10 @@ def boundary_form(
     if any(b not in graph.bonds for b in psi.bonds):
         raise ValueError("fields do not live on the given graph")
     total = 0.0 + 0.0j
-    for b in range(psi.n_bonds):
-        for upper, sign in ((True, 1.0), (False, -1.0)):
-            f1, c1 = _endpoint_values(psi, b, upper)
-            f2, c2 = _endpoint_values(phi, b, upper)
-            total += sign * (c1 * np.conj(f2) + f1 * np.conj(c2))
+    for b, (f1, f2) in enumerate(zip(psi.phi, phi.phi)):
+        c1, c2 = _chi_at_nodes(psi, b), _chi_at_nodes(phi, b)
+        for end, sign in ((-1, 1.0), (0, -1.0)):
+            total += sign * (c1[end] * np.conj(f2[end]) + f1[end] * np.conj(c2[end]))
     return -1j * total
 
 
@@ -198,10 +191,11 @@ def compute_record(
     The reflection entry is N1 / total, or 0 for an identically zero field
     (the standalone reflection_coefficient rejects that case instead).
     """
-    partial = tuple(
-        partial_norm(field, j + 1, params) for j in range(field.n_bonds)
-    )
+    partial, e = [], 0.0
+    for b in range(field.n_bonds):
+        chi_part = _chi_part(field, b)
+        partial.append(_bond_norm(field, b, params, chi_part))
+        e += _bond_energy(field, b, params, chi_part)
     total = float(sum(partial))
-    e = energy(field, params)
     refl = partial[0] / total if total > 0 else 0.0
-    return DiagnosticsRecord(t, partial, total, e, refl)
+    return DiagnosticsRecord(t, tuple(partial), total, float(e), refl)

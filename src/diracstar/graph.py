@@ -101,8 +101,8 @@ def build_star_graph(spec: Iterable[Sequence[float]]) -> StarGraph:
     spacing, every length must be an integer number of cells, and N >= 2.
 
     Raises ValueError, naming the bond and field, for N < 2, a non-finite or
-    non-positive parameter, non-uniform dx, a bond of fewer than 4 cells or
-    a length that does not fit the grid.
+    non-positive parameter, non-uniform dx, a cell count that overflows, a
+    bond of fewer than 4 cells or a length that does not fit the grid.
     """
     entries = [tuple(float(v) for v in row) for row in spec]
     if any(len(row) != 3 for row in entries):
@@ -124,6 +124,9 @@ def build_star_graph(spec: Iterable[Sequence[float]]) -> StarGraph:
             raise ValueError(
                 f"bond {i}: all bonds must share one dx ({dx} != {dx0})"
             )
+        if not math.isfinite(length / dx):
+            raise ValueError(f"bond {i}: length {length} over dx {dx} overflows "
+                             "the cell count")
         n = round(length / dx)
         if n < _MIN_CELLS:
             raise ValueError(f"bond {i}: length {length} is shorter than the "

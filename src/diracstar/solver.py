@@ -234,16 +234,6 @@ def gaussian_spinor(x0: float, sigma: float, bond: Bond) -> tuple[np.ndarray, np
     return phi, chi
 
 
-def _vertex_constants(
-    alphas: tuple[float, ...], mode: VertexMode
-) -> tuple[np.ndarray, np.float64, float | None]:
-    """Effective weights, W = sum_j a_j^-2, transparent factor A."""
-    kirchhoff = mode is VertexMode.KIRCHHOFF
-    effective = np.ones(len(alphas)) if kirchhoff else np.asarray(alphas, float)
-    factor = vertex_tbc_factor(alphas) if mode is VertexMode.TRANSPARENT else None
-    return effective, np.sum(1.0 / effective ** 2), factor
-
-
 def _vertex_shared_value(
     values: np.ndarray, alphas: np.ndarray, w_all: np.float64
 ) -> complex:
@@ -268,9 +258,10 @@ def build_initial_field(
 
     chi keeps its t = 0 samples; phi is pulled back to t = -dt/2 with a
     Taylor half step (using the staggered derivative of chi), which keeps
-    the scheme second order in time.  End and vertex nodes are then made
-    consistent with the boundary policy, whose kernel must match the run's
-    mass and dt, and the state is optionally rescaled to unit total norm.
+    the scheme second order in time.  The run's step plan, which the field
+    hands on to its first step, then sets the end and vertex nodes; the
+    policy's kernel must match the run's mass and dt.  The state is
+    optionally rescaled to unit total norm.
     """
     policy.validate_for(graph)
     k = policy.kernel
@@ -285,30 +276,26 @@ def build_initial_field(
         raise ValueError("interior runs simulate bond 1 only")
     if not 1 <= bond_index <= len(bonds):
         raise ValueError(f"bond_index {bond_index} outside simulated domain")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
 
     field = SpinorField.zeros(bonds)
-    target = bonds[bond_index - 1]
-    phi0, chi0 = gaussian_spinor(x0, sigma, target)
-    b = bond_index - 1
-    field.phi[b][:] = amplitude * phi0
-    field.chi[b][:] = amplitude * chi0
+    plan = _StepPlan(field, graph, params, policy)
+    phi0, chi0 = gaussian_spinor(x0, sigma, bonds[bond_index - 1])
+    p, c = field.phi[bond_index - 1], field.chi[bond_index - 1]
+    p[:], c[:] = amplitude * phi0, amplitude * chi0
+    # phi(-dt/2) = phi0 + (dt/2)(d_x chi0 + i m phi0) at interior nodes; the
+    # other bonds are +0 and would stay so
+    dchi = (c[1:] - c[:-1]) / params.dx
+    p[1:-1] += 0.5 * params.dt * (dchi + 1j * params.mass * p[1:-1])
 
-    # phi(-dt/2) = phi0 + (dt/2)(d_x chi0 + i m phi0) at interior nodes
-    for p, c in zip(field.phi, field.chi):
-        dchi = (c[1:] - c[:-1]) / params.dx
-        p[1:-1] += 0.5 * params.dt * (dchi + 1j * params.mass * p[1:-1])
-
-    if policy.end_modes[0] is EndMode.DIRICHLET:
-        field.phi[0][0] = 0.0
-    if not interior_only:
-        alphas, w_all, _ = _vertex_constants(graph.alphas, policy.vertex_mode)
-        values = [field.phi[0][-1], *(p[0] for p in field.phi[1:])]
-        shared = _vertex_shared_value(values, alphas, w_all)
-        field.phi[0][-1] = shared / alphas[0]
-        for j in range(1, field.n_bonds):
-            field.phi[j][0] = shared / alphas[j]
-            if policy.end_modes[j] is EndMode.DIRICHLET:
-                field.phi[j][-1] = 0.0
+    phi = field.phi_buf
+    phi[plan.walls] = 0.0
+    if plan.vertex is not None:
+        nodes, _, alphas, w_all = plan.vertex
+        shared = _vertex_shared_value([phi[k] for k in nodes], alphas, w_all)
+        for k, a in zip(nodes, alphas):
+            phi[k] = shared / a
 
     if normalize:
         from .diagnostics import total_norm
@@ -316,7 +303,7 @@ def build_initial_field(
         if (total := total_norm(field, params)) > 0:
             field._state *= 1.0 / np.sqrt(total)
 
-    field.initial_max = field.max_abs()
+    field.initial_max, field._plan = field.max_abs(), plan
     return field
 
 
@@ -385,11 +372,12 @@ def _stencil(out, num, old, lam, hi, lo, divisor, diff) -> None:
     _divide(out, divisor)
 
 
-def _history(field: SpinorField, key: str) -> _History:
-    """The boundary's history buffer, created on the first step."""
+def _history(field: SpinorField, key: str, kernel: BesselKernel) -> _History:
+    """The boundary's history buffer, created on the first step with room
+    for every level the kernel covers."""
     history = field.histories.get(key)
     if history is None:
-        history = field.histories[key] = _History()
+        history = field.histories[key] = _History(len(kernel.reversed_weights))
     if len(history) != field.time_level:
         raise ValueError(
             f"history '{key}' has {len(history)} entries at time level "
@@ -400,9 +388,10 @@ def _history(field: SpinorField, key: str) -> _History:
 
 
 class _StepPlan:
-    """What ``step`` derives from its graph, params and policy alone, with
-    offsets into the buffers of the stepped field's layout: the vertex nodes,
-    the cells beside them, the weights and W (None for a transparent vertex);
+    """The junctions of a run, stated once for ``build_initial_field`` and
+    ``step``: what they derive from the graph, params and policy alone, with
+    offsets into the buffers of the field's layout.  The vertex nodes, the
+    cells beside them, the weights and W (None for a transparent vertex);
     per transparent boundary, vertex first, (history key, node, adjacent cell,
     right end, factor A, coefficients); the Dirichlet end nodes; the pads."""
 
@@ -420,7 +409,10 @@ class _StepPlan:
         self.cp = 1.0 + 0.5j * params.mass * params.dt
         self.cm = 1.0 - 0.5j * params.mass * params.dt
         self.by_cp, self.by_cm = _divisor(self.cp), _divisor(self.cm)
-        alphas, w_all, factor = _vertex_constants(graph.alphas, policy.vertex_mode)
+        weighted = policy.vertex_mode is not VertexMode.KIRCHHOFF
+        alphas = np.asarray(graph.alphas if weighted else [1.0] * graph.n_bonds, float)
+        w_all = np.sum(1.0 / alphas ** 2)
+        factor = vertex_tbc_factor(graph.alphas) if interior_only else None
         pads = [k - 1 for k in accumulate(b.cells + 1 for b in field.bonds)]
         nodes = [pads[0], *(k + 1 for k in pads[:-1])]
         cells = [nodes[0] - 1, *nodes[1:]]
@@ -454,9 +446,10 @@ def step(
     ``field`` is never written to.  All phi nodes are updated first
     (interior stencil, then vertex and end conditions), then every chi cell
     from the new phi.  The constants of ``graph``, ``params`` and ``policy``
-    are planned at a run's first step and handed on with the new field, so
-    none of the three may change during a run.  Transparent boundaries
-    append to the field's history buffers, which the new field takes over.
+    are planned once per run (by ``build_initial_field``, else by the first
+    step) and handed on with the new field, so none of the three may change
+    during a run.  Transparent boundaries append to the field's history
+    buffers, which the new field takes over.
     Raises ValueError for an older field of the run, and for an ``out``
     that is ``field``, shares memory with it or has another layout;
     InstabilityError when a value exceeds the overflow guard or is not finite.
@@ -496,8 +489,8 @@ def step(
             new_phi[k] = shared_new / a
     for key, node, cell, right_end, factor, coefficients in plan.transparent:
         new_phi[node] = _solve_tbc_node(
-            phi[node], chi[cell], _history(field, key), policy.kernel, level,
-            plan.two_lam, coefficients, right_end, factor,
+            phi[node], chi[cell], _history(field, key, policy.kernel),
+            policy.kernel, level, plan.two_lam, coefficients, right_end, factor,
         )
     for node in plan.walls:
         new_phi[node] = 0.0

@@ -272,3 +272,103 @@ def trapezoid_convolution(values, conv_weights, dt: float, level: int) -> comple
     g = np.asarray(conv_weights)[level:0:-1].copy()
     g[0] *= 0.5
     return complex(dt * np.dot(g, np.asarray(values[:level], dtype=complex)))
+
+
+# The per-bond forms that the junction set-up and the diagnostics had before
+# the step plan set the junctions and one pass summed each bond: a bit
+# reference, not a truth.  Each reads ``field.phi[b]``, ``field.chi[b]`` and
+# ``field.n_bonds`` of any field and ``dx``, ``dt``, ``mass`` and
+# ``courant`` of any params, so nothing here imports the package.
+
+
+def _phi_at_nodes_reference(field, b, params):
+    phi, chi = field.phi[b], field.chi[b]
+    dchi = np.empty_like(phi)
+    dchi[1:-1] = (chi[1:] - chi[:-1]) / params.dx
+    dchi[0] = (-2.0 * chi[0] + 3.0 * chi[1] - chi[2]) / params.dx
+    dchi[-1] = (2.0 * chi[-1] - 3.0 * chi[-2] + chi[-3]) / params.dx
+    return phi - 0.5 * params.dt * (dchi + 1j * params.mass * phi)
+
+
+def partial_norm_reference(field, bond_index, params) -> float:
+    b = bond_index - 1
+    p2 = np.abs(_phi_at_nodes_reference(field, b, params)) ** 2
+    phi_part = p2.sum() - 0.5 * (p2[0] + p2[-1])
+    chi_part = np.sum(np.abs(field.chi[b]) ** 2)
+    return float(params.dx * (phi_part + chi_part))
+
+
+def energy_reference(field, params) -> float:
+    total = 0.0
+    lam = params.courant
+    for p, c in zip(field.phi, field.chi):
+        p2 = np.abs(p) ** 2
+        phi_part = p2.sum() - 0.5 * (p2[0] + p2[-1])
+        chi_part = np.sum(np.abs(c) ** 2)
+        cross = np.sum(((p[1:] - p[:-1]) * np.conj(c)).real)
+        total += params.dx * (phi_part + chi_part + lam * cross)
+    return float(total)
+
+
+def compute_record_reference(field, params):
+    """(partial norms, total norm, energy, reflection) of one state."""
+    partial = tuple(
+        partial_norm_reference(field, j + 1, params) for j in range(field.n_bonds)
+    )
+    total = float(sum(partial))
+    e = energy_reference(field, params)
+    refl = partial[0] / total if total > 0 else 0.0
+    return partial, total, e, refl
+
+
+def _endpoint_values_reference(field, b, upper):
+    phi, chi = field.phi[b], field.chi[b]
+    if upper:
+        return phi[-1], 0.5 * (3.0 * chi[-1] - chi[-2])
+    return phi[0], 0.5 * (3.0 * chi[0] - chi[1])
+
+
+def boundary_form_reference(psi, phi) -> complex:
+    total = 0.0 + 0.0j
+    for b in range(psi.n_bonds):
+        for upper, sign in ((True, 1.0), (False, -1.0)):
+            f1, c1 = _endpoint_values_reference(psi, b, upper)
+            f2, c2 = _endpoint_values_reference(phi, b, upper)
+            total += sign * (c1 * np.conj(f2) + f1 * np.conj(c2))
+    return -1j * total
+
+
+def initial_field_reference(field, params, alphas, vertex_mode, dirichlet_ends,
+                            normalize):
+    """The rest of the initial-field set-up, in place, on a field that holds
+    the scaled packet samples and zeros: the Taylor half step on every bond,
+    the walls and the vertex projection through per-bond views, then the
+    optional rescaling to unit norm.  ``vertex_mode`` is 'kirchhoff',
+    'weighted' or 'transparent' (a bond-1 field), ``alphas`` and
+    ``dirichlet_ends`` hold one entry per graph bond."""
+    phi = field.phi
+    for p, c in zip(phi, field.chi):
+        dchi = (c[1:] - c[:-1]) / params.dx
+        p[1:-1] += 0.5 * params.dt * (dchi + 1j * params.mass * p[1:-1])
+    if dirichlet_ends[0]:
+        phi[0][0] = 0.0
+    if vertex_mode != "transparent":
+        kirchhoff = vertex_mode == "kirchhoff"
+        weights = np.ones(len(alphas)) if kirchhoff else np.asarray(alphas, float)
+        w_all = np.sum(1.0 / weights ** 2)
+        values = [phi[0][-1], *(p[0] for p in phi[1:])]
+        shared = values[0] / weights[0]
+        for j in range(1, len(values)):
+            shared += values[j] / weights[j]
+        shared = shared / w_all
+        phi[0][-1] = shared / weights[0]
+        for j in range(1, field.n_bonds):
+            phi[j][0] = shared / weights[j]
+            if dirichlet_ends[j]:
+                phi[j][-1] = 0.0
+    if normalize:
+        total = sum(partial_norm_reference(field, j + 1, params)
+                    for j in range(field.n_bonds))
+        if total > 0:
+            for arr in field.phi + field.chi:
+                arr *= 1.0 / np.sqrt(total)

@@ -53,7 +53,7 @@ def random_history(rng, n):
 
 
 def buffer_of(values):
-    history = _History()
+    history = _History(len(values))
     for v in values:
         history.append(v)
     return history
@@ -67,7 +67,7 @@ def assert_local_relation(kernel, sign, factor, seed):
     """
     rng = np.random.default_rng(seed)
     lam = MASSLESS.courant
-    history = _History()
+    history = _History(len(kernel.reversed_weights))
     for level in range(20):
         assert _endpoint_coefficient(kernel, level) == 1
         assert _history_convolution(history, kernel, level) == 0
@@ -107,7 +107,8 @@ def test_left_end_is_minus_right_end(kernel_massive):
     # chi = -R[phi] at a left end: mirroring the adjacent chi gives the
     # right end's node value and history, bit-exactly
     rng = np.random.default_rng(11)
-    h_left, h_right = _History(), _History()
+    room = len(kernel_massive.reversed_weights)
+    h_left, h_right = _History(room), _History(room)
     for level in range(30):
         q, chi_adj = (complex(v) for v in random_history(rng, 2))
         left = _solve_tbc_node(
@@ -150,10 +151,10 @@ def test_missing_history_signalled():
 
 
 def test_history_buffer_matches_list():
-    # past the initial capacity, so the buffer has grown at least twice; it
-    # keeps the appended values, the first one halved
+    # filled to its capacity, the buffer keeps the appended values, the
+    # first one halved
     rng = np.random.default_rng(13)
-    n = 3 * _History._CAPACITY + 5
+    n = 197
     values = random_history(rng, n)
     buf = buffer_of(values)
     stored = [0.5 * values[0]] + values[1:]

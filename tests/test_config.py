@@ -6,6 +6,7 @@ import pytest
 
 import diracstar.config as config_module
 from diracstar import ConfigError, build_star_graph, load_config, run
+from diracstar.cli import main
 
 from .conftest import CONFIG_DIR
 
@@ -253,6 +254,21 @@ def test_run_builds_graph_twice(monkeypatch):
     monkeypatch.setattr(config_module, "build_star_graph", counting)
     run(cfg)
     assert len(calls) == 2
+
+
+def test_percent_in_a_value_is_read_verbatim(tmp_path):
+    # no interpolation: '%' is a plain character, and '%%' stays two
+    path = write_config(tmp_path, MINIMAL + "[output]\ndirectory = out%1%%\n")
+    assert load_config(path).output_dir == "out%1%%"
+    assert main(["check-sumrule", "--config", str(path)]) == 0
+
+
+def test_overflowing_cell_count_is_a_config_error(tmp_path):
+    text = MINIMAL.replace("dx = 0.1", "dx = 1e-10").replace("length = 10", "length = 1e300")
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"^\[graph/bond\] bond 1: length 1e\+300 over"):
+        load_config(path)
+    assert main(["check-sumrule", "--config", str(path)]) == 2
 
 
 def test_parse_error_carries_location(tmp_path):

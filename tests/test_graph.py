@@ -69,6 +69,12 @@ def test_non_finite_bond_input_names_bond_and_field(field, value):
         build_star_graph([(b["alpha"], b["length"], b["dx"]) for b in bonds])
 
 
+def test_overflowing_cell_count_names_the_bond():
+    # finite inputs whose ratio overflows raised OverflowError from round()
+    with pytest.raises(ValueError, match=r"^bond 1: length 1e\+300 over dx 1e-10 overflows"):
+        build_star_graph([(1.0, 1e300, 1e-10), (1.0, 1e300, 1e-10)])
+
+
 @pytest.mark.parametrize("bad", [(0.0, 10.0, 0.1), (-1.0, 10.0, 0.1)])
 def test_non_positive_alpha_rejected(bad):
     with pytest.raises(ValueError, match="alpha"):

@@ -426,6 +426,21 @@ def test_initial_field_rejects_bond_outside_domain():
         )
 
 
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), float("-inf")])
+def test_initial_field_rejects_non_finite_amplitude(amplitude, monkeypatch):
+    # unchecked, nan ended as "non-finite field value at step 1 (interior)";
+    # the check comes before any field is allocated
+    def no_field(bonds):
+        raise AssertionError("field allocated")
+
+    monkeypatch.setattr(SpinorField, "zeros", no_field)
+    g = line_graph(length=2.0, dx=0.05)
+    params = SimParams(mass=0.0, dt=0.04, dx=0.05, n_steps=4)
+    with pytest.raises(ValueError, match=rf"^amplitude must be finite, got {amplitude}$"):
+        build_initial_field(g, params, dirichlet_policy(g), x0=-1.0, sigma=0.2,
+                            amplitude=amplitude)
+
+
 def test_step_rejects_partial_field():
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=4)
@@ -490,7 +505,7 @@ def test_transparent_vertex_rejects_full_graph_field():
 
 def test_transparent_vertex_factor_taken_once_per_weight_set(monkeypatch):
     # the factor's Python loop over the weights runs once per run, when
-    # the first step plans the run, not every step
+    # build_initial_field plans the run, not every step
     from diracstar import solver
 
     calls = []
@@ -505,6 +520,24 @@ def test_transparent_vertex_factor_taken_once_per_weight_set(monkeypatch):
     for _ in range(20):
         field = step(field, graph, params, policy)
     assert calls == [graph.alphas]
+
+
+def test_run_builds_one_step_plan(canonical_config, monkeypatch):
+    # build_initial_field plans the run, and every step reuses that plan
+    from diracstar import solver
+
+    plans = []
+
+    class Counted(solver._StepPlan):
+        def __init__(self, *args):
+            plans.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "_StepPlan", Counted)
+    for config in (canonical_config, load_config(CONFIG_DIR / "open_line.cfg")):
+        plans.clear()
+        run(replace(config, n_steps=20, snapshot_times=()))
+        assert len(plans) == 1
 
 
 # ---------------------------------------------------------- boundary histories
