@@ -26,7 +26,7 @@ from pathlib import Path
 from .bessel import BesselKernel, kernel_overflow
 from .boundaries import BoundaryPolicy, EndMode, VertexMode
 from .graph import StarGraph, build_star_graph
-from .solver import SimParams, check_packet
+from .solver import SimParams, check_packet, check_source
 
 __all__ = ["ConfigError", "SweepSpec", "ExperimentConfig", "load_config"]
 
@@ -124,16 +124,8 @@ class ExperimentConfig:
         if "transparent" in (self.vertex_mode, *ends):
             if overflow := kernel_overflow(self.mass, self.dt, self.n_steps):
                 raise ConfigError(f"[simulation] {overflow}")
-        if not 1 <= self.source_bond <= n:
-            raise ConfigError(
-                f"[initial] bond must be in 1..{n}, got {self.source_bond}"
-            )
-        if vertex is VertexMode.TRANSPARENT and self.source_bond != 1:
-            raise ConfigError(
-                "[initial] transparent vertex mode simulates bond 1 only"
-            )
-        _checked("initial", check_packet, self.x0, self.sigma,
-                 graph.bonds[self.source_bond - 1])
+        source = _checked("initial", check_source, graph, vertex, self.source_bond)
+        _checked("initial", check_packet, self.x0, self.sigma, source)
         if self.sample_every < 1:
             raise ConfigError(
                 f"[sampling] sample_every must be >= 1, got {self.sample_every}"

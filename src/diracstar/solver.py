@@ -106,16 +106,18 @@ class SimParams:
 class SpinorField:
     """Per-bond (phi, chi) arrays at one staggered time level, packed.
 
+    ``SpinorField(bonds)`` is the one constructor: a zero field at time
+    level 0, with ``initial_max = 0.0``, no histories and no step plan.
     ``phi_buf`` holds the nodes of every bond, bond after bond; ``chi_buf``
     holds the cells, with one pad slot after each bond's last cell, so phi
     node k and chi cell k share one offset and one stencil call covers all
     bonds.  The pads stay +0.  ``phi`` and ``chi`` are tuples of per-bond
-    views into the buffers: write through them, never rebind them.  The
-    constructor copies the given per-bond arrays into new buffers.
+    views into the buffers: write values through them, never rebind them.
 
-    The buffers and the stencil scratch are the rows of one zero arena (see
-    ``_allocate``), each on a 64-byte boundary; the gap slots after each buffer
-    stay +0, so the guard reads phi and chi as one vector.
+    The buffers and the stencil scratch are the rows of one zero arena, each
+    rounded up to 4 values (64 bytes) and all cut from one zero byte array
+    at its first 64-byte boundary; the gap slots after each buffer stay +0,
+    so the guard reads phi and chi as one vector.
 
     After n accepted steps the stored phi sits at t = (n - 1/2) dt and chi
     at t = n dt.  ``bonds`` is the simulated domain: all graph bonds, or
@@ -125,42 +127,12 @@ class SpinorField:
     so only the newest field of a run can be stepped.
     """
 
-    def __init__(
-        self,
-        bonds: tuple[Bond, ...],
-        phi: list[np.ndarray],
-        chi: list[np.ndarray],
-        time_level: int = 0,
-        initial_max: float | None = None,
-        histories: dict[str, _History] | None = None,
-    ) -> None:
-        if len(phi) != len(bonds) or len(chi) != len(bonds):
-            raise ValueError("one phi and chi array required per bond")
-        for b, p, c in zip(bonds, phi, chi):
-            if p.shape != (b.cells + 1,) or c.shape != (b.cells,):
-                raise ValueError(
-                    f"bond {b.index}: need {b.cells + 1} phi and {b.cells} "
-                    f"chi values, got {p.shape} and {c.shape}"
-                )
-        self._pack(bonds)
-        for view, a in zip(self.phi + self.chi, (*phi, *chi)):
-            view[:] = a
-        self.time_level = time_level
-        self.initial_max = self.max_abs() if initial_max is None else initial_max
-        self.histories = {} if histories is None else histories
-
-    def _pack(self, bonds: tuple[Bond, ...]) -> None:
-        """Lay the bonds out in a new zero arena and view it."""
+    def __init__(self, bonds: tuple[Bond, ...]) -> None:
         self.bonds, self._plan = bonds, None
+        self.time_level, self.initial_max, self.histories = 0, 0.0, {}
         ends = list(accumulate(b.cells + 1 for b in bonds))
         self._cuts = [(slice(a, z), slice(a, z - 1)) for a, z in zip([0, *ends], ends)]
-        self._allocate()
-
-    def _allocate(self) -> None:
-        """View a new arena: zero rows phi, chi and stencil scratch, each
-        rounded up to 4 values (64 bytes) and all cut from one zero byte
-        array at its first 64-byte boundary."""
-        n = self._cuts[-1][0].stop
+        n = ends[-1]
         row = -(-n // 4) * 4
         raw = np.zeros(3 * 16 * row + 64, np.uint8)
         start = -raw.ctypes.data % 64
@@ -175,21 +147,6 @@ class SpinorField:
         self._operands = (phi_buf[1:-1], chi_buf[:-1], chi_buf[1:-1], chi_buf[:-2],
                           phi_buf[1:], phi_buf[:-1], d, d[:-1])
 
-    def _twin(self) -> "SpinorField":
-        """This layout, time level, histories and plan on a new zero arena,
-        unchecked."""
-        out = object.__new__(SpinorField)
-        out.__dict__.update(vars(self))
-        out._allocate()
-        return out
-
-    @classmethod
-    def zeros(cls, bonds: tuple[Bond, ...]) -> "SpinorField":
-        field = object.__new__(cls)
-        field._pack(bonds)
-        field.time_level, field.initial_max, field.histories = 0, 0.0, {}
-        return field
-
     @property
     def n_bonds(self) -> int:
         return len(self.bonds)
@@ -199,9 +156,10 @@ class SpinorField:
         return float(np.max(np.abs(self._state)))  # a NaN sticks
 
     def copy(self) -> "SpinorField":
-        twin = self._twin()
+        twin = SpinorField(self.bonds)
         twin._state[:] = self._state
-        twin.histories = copy.deepcopy(self.histories)
+        twin.time_level, twin.initial_max = self.time_level, self.initial_max
+        twin._plan, twin.histories = self._plan, copy.deepcopy(self.histories)
         return twin
 
 
@@ -213,6 +171,16 @@ def check_packet(x0: float, sigma: float, bond: Bond) -> None:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not bond.contains(x0):
         raise ValueError(f"x0 = {x0} lies outside bond {bond.index}")
+
+
+def check_source(graph: StarGraph, vertex_mode: VertexMode, index: int) -> Bond:
+    """The source rule: bond ``index`` of the graph, which the run must
+    simulate; a transparent vertex simulates bond 1 only."""
+    if not 1 <= index <= graph.n_bonds:
+        raise ValueError(f"bond must be in 1..{graph.n_bonds}, got {index}")
+    if vertex_mode is VertexMode.TRANSPARENT and index != 1:
+        raise ValueError(f"a transparent vertex simulates bond 1 only, got bond {index}")
+    return graph.bonds[index - 1]
 
 
 def gaussian_spinor(x0: float, sigma: float, bond: Bond) -> tuple[np.ndarray, np.ndarray]:
@@ -259,29 +227,17 @@ def build_initial_field(
     chi keeps its t = 0 samples; phi is pulled back to t = -dt/2 with a
     Taylor half step (using the staggered derivative of chi), which keeps
     the scheme second order in time.  The run's step plan, which the field
-    hands on to its first step, then sets the end and vertex nodes; the
-    policy's kernel must match the run's mass and dt.  The state is
-    optionally rescaled to unit total norm.
+    hands on to its first step, then sets the end and vertex nodes.  The
+    state is optionally rescaled to unit total norm.
     """
-    policy.validate_for(graph)
-    k = policy.kernel
-    if policy.requires_kernel and (k.mass, k.dt) != (params.mass, params.dt):
-        raise ValueError(
-            f"kernel built for mass {k.mass!r} and dt {k.dt!r}, but the run "
-            f"has mass {params.mass!r} and dt {params.dt!r}"
-        )
-    interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
-    bonds = (graph.bonds[0],) if interior_only else graph.bonds
-    if interior_only and bond_index != 1:
-        raise ValueError("interior runs simulate bond 1 only")
-    if not 1 <= bond_index <= len(bonds):
-        raise ValueError(f"bond_index {bond_index} outside simulated domain")
+    source = check_source(graph, policy.vertex_mode, bond_index)
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
 
-    field = SpinorField.zeros(bonds)
+    interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
+    field = SpinorField((source,) if interior_only else graph.bonds)
     plan = _StepPlan(field, graph, params, policy)
-    phi0, chi0 = gaussian_spinor(x0, sigma, bonds[bond_index - 1])
+    phi0, chi0 = gaussian_spinor(x0, sigma, source)
     p, c = field.phi[bond_index - 1], field.chi[bond_index - 1]
     p[:], c[:] = amplitude * phi0, amplitude * chi0
     # phi(-dt/2) = phi0 + (dt/2)(d_x chi0 + i m phi0) at interior nodes; the
@@ -393,9 +349,18 @@ class _StepPlan:
     offsets into the buffers of the field's layout.  The vertex nodes, the
     cells beside them, the weights and W (None for a transparent vertex);
     per transparent boundary, vertex first, (history key, node, adjacent cell,
-    right end, factor A, coefficients); the Dirichlet end nodes; the pads."""
+    right end, factor A, coefficients); the Dirichlet end nodes; the pads.
+    Raises ValueError unless the policy fits the graph, its kernel the
+    params' mass and dt, and the field the simulated bonds."""
 
     def __init__(self, field, graph, params, policy) -> None:
+        policy.validate_for(graph)
+        k = policy.kernel
+        if policy.requires_kernel and (k.mass, k.dt) != (params.mass, params.dt):
+            raise ValueError(
+                f"kernel built for mass {k.mass!r} and dt {k.dt!r}, but the run "
+                f"has mass {params.mass!r} and dt {params.dt!r}"
+            )
         interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
         if interior_only and field.n_bonds != 1:
             raise ValueError(
@@ -450,8 +415,9 @@ def step(
     step) and handed on with the new field, so none of the three may change
     during a run.  Transparent boundaries append to the field's history
     buffers, which the new field takes over.
-    Raises ValueError for an older field of the run, and for an ``out``
-    that is ``field``, shares memory with it or has another layout;
+    Raises ValueError for an older field of the run, for a policy that
+    does not fit the graph or whose kernel does not fit the params, and for
+    an ``out`` that is ``field``, shares memory with it or has another layout;
     InstabilityError when a value exceeds the overflow guard or is not finite.
     """
     plan = field._plan
@@ -460,7 +426,7 @@ def step(
         plan = _StepPlan(field, graph, params, policy)
     phi, chi = field.phi_buf, field.chi_buf
     if out is None:
-        out = field._twin()
+        out = SpinorField(field.bonds)
     elif out is field:
         raise ValueError("out is the field being stepped; pass another field")
     elif out.bonds != field.bonds:

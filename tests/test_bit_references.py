@@ -68,7 +68,7 @@ def domain(graph, policy):
 
 
 def random_field(draw, bonds):
-    field = SpinorField.zeros(bonds)
+    field = SpinorField(bonds)
     for arr in field.phi + field.chi:
         arr[:] = draw(st.lists(values, min_size=len(arr), max_size=len(arr)))
     return field
@@ -119,7 +119,7 @@ def test_initial_junctions_match_the_per_bond_form(star, data):
         field = build_initial_field(graph, params, policy, x0=0.0, sigma=1.0,
                                     bond_index=b + 1, amplitude=amplitude,
                                     normalize=normalize)
-    expected = SpinorField.zeros(bonds)
+    expected = SpinorField(bonds)
     expected.phi[b][:], expected.chi[b][:] = amplitude * phi0, amplitude * chi0
     initial_field_reference(
         expected, params, graph.alphas, policy.vertex_mode.value,

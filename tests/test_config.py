@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import diracstar.config as config_module
-from diracstar import ConfigError, build_star_graph, load_config, run
+from diracstar import ConfigError, build_initial_field, build_star_graph, load_config, run
 from diracstar.cli import main
 
 from .conftest import CONFIG_DIR
@@ -199,6 +199,27 @@ def test_transparent_vertex_requires_bond_one_source(tmp_path):
     bad += "\n[boundary]\nvertex_mode = transparent\n"
     with pytest.raises(ConfigError, match="bond 1"):
         load_config(write_config(tmp_path, bad))
+
+
+@pytest.mark.parametrize(
+    "vertex_mode, bond, cause",
+    [
+        ("weighted", 0, "bond must be in 1..3, got 0"),
+        ("weighted", 4, "bond must be in 1..3, got 4"),
+        ("transparent", 4, "bond must be in 1..3, got 4"),
+        ("transparent", 2, "a transparent vertex simulates bond 1 only, got bond 2"),
+    ],
+)
+def test_source_bond_rule_shared_with_library(vertex_mode, bond, cause):
+    # one rule, with one message, for a config's [initial] bond and the
+    # library's bond_index
+    cfg = replace(load_config(CONFIG_DIR / "transparent_star.cfg"),
+                  vertex_mode=vertex_mode, source_bond=bond)
+    with pytest.raises(ConfigError, match=rf"^\[initial\] {cause}$"):
+        cfg.validate()
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        build_initial_field(cfg.build_graph(), cfg.sim_params(), cfg.build_policy(),
+                            x0=cfg.x0, sigma=cfg.sigma, bond_index=bond)
 
 
 def test_transparent_vertex_rejects_unread_end_modes():

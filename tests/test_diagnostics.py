@@ -38,7 +38,7 @@ def make_record(norms, t=10.0):
 def test_partial_norm_zero_field():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.01, dt=0.04, dx=0.05, n_steps=1)
-    field = SpinorField.zeros(g.bonds)
+    field = SpinorField(g.bonds)
     assert partial_norm(field, 1, params) == 0.0
     assert total_norm(field, params) == 0.0
 
@@ -105,14 +105,14 @@ def test_four_bond_equal_weights_split_equally():
 def test_energy_zero_field():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.01, dt=0.04, dx=0.05, n_steps=1)
-    assert energy(SpinorField.zeros(g.bonds), params) == 0.0
+    assert energy(SpinorField(g.bonds), params) == 0.0
 
 
 def test_energy_without_chi_is_phi_norm():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=1)
     rng = np.random.default_rng(2)
-    field = SpinorField.zeros(g.bonds)
+    field = SpinorField(g.bonds)
     expected = 0.0
     for p in field.phi:
         p[:] = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
@@ -125,7 +125,7 @@ def test_energy_invariant_under_global_phase():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=1)
     rng = np.random.default_rng(4)
-    field = SpinorField.zeros(g.bonds)
+    field = SpinorField(g.bonds)
     for p in field.phi:
         p[:] = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
     for c in field.chi:
@@ -146,7 +146,7 @@ def test_energy_invariant_under_global_phase():
 
 def smooth_field(graph, rng):
     """Random band-limited field, zero at the far ends."""
-    field = SpinorField.zeros(graph.bonds)
+    field = SpinorField(graph.bonds)
     for b, bond in enumerate(graph.bonds):
         x = bond.node_coordinates()
         xc = bond.cell_coordinates()
@@ -212,7 +212,7 @@ def test_boundary_form_domain_mismatch():
     other = build_star_graph([(1.0, 1.0, 0.05), (1.0, 1.0, 0.05)])
     with pytest.raises(ValueError):
         boundary_form(
-            SpinorField.zeros(g.bonds), SpinorField.zeros(other.bonds), g
+            SpinorField(g.bonds), SpinorField(other.bonds), g
         )
 
 

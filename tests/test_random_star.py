@@ -93,14 +93,13 @@ def test_random_star_step_is_linear(pair, seed):
     a, b = 0.6 - 0.3j, -1.1 + 0.7j
     for graph, policy in (closed_star(alphas, mode) for alphas in weight_sets):
         f1 = packet(graph, policy)
-        f2 = SpinorField.zeros(graph.bonds)
+        f2 = SpinorField(graph.bonds)
         for arr in f2.phi + f2.chi:
             arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
-        mixed = SpinorField(
-            graph.bonds,
-            [a * p1 + b * p2 for p1, p2 in zip(f1.phi, f2.phi)],
-            [a * c1 + b * c2 for c1, c2 in zip(f1.chi, f2.chi)],
-        )
+        mixed = SpinorField(graph.bonds)
+        for lhs, u, v in zip(mixed.phi + mixed.chi, f1.phi + f1.chi, f2.phi + f2.chi):
+            lhs[:] = a * u + b * v
+        mixed.initial_max = mixed.max_abs()
         f2.initial_max = f2.max_abs()
         for _ in range(PARAMS.n_steps):
             f1, f2, mixed = (step(f, graph, PARAMS, policy) for f in (f1, f2, mixed))
@@ -244,7 +243,7 @@ def test_random_star_step_into_a_spare_is_a_step_into_a_new_field(params, mode, 
     # histories of stepping into new fields: the step writes every slot
     graph, policy = random_star(params, mode, star)
     fresh = packet(graph, policy, params)
-    reused, spare = fresh.copy(), SpinorField.zeros(fresh.bonds)
+    reused, spare = fresh.copy(), SpinorField(fresh.bonds)
     for _ in range(params.n_steps):
         old = fresh
         fresh = step(fresh, graph, params, policy)
@@ -270,10 +269,8 @@ def test_every_field_sits_on_an_aligned_arena(mode, star):
     # leave the gaps +0
     graph, policy = random_star(PARAMS, mode, star)
     fresh = packet(graph, policy)
-    reused, spare = fresh.copy(), SpinorField.zeros(fresh.bonds)
-    values = [np.full(len(a), 1 + 2j) for a in fresh.phi + fresh.chi]
-    made = [fresh, reused, spare,
-            SpinorField(fresh.bonds, values[:fresh.n_bonds], values[fresh.n_bonds:])]
+    reused, spare = fresh.copy(), SpinorField(fresh.bonds)
+    made = [fresh, reused, spare]
     for _ in range(PARAMS.n_steps):
         made.append(fresh := step(fresh, graph, PARAMS, policy))
         reused, spare = step(reused, graph, PARAMS, policy, out=nan_filled(spare)), reused

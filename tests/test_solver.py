@@ -120,7 +120,7 @@ def test_zero_field_stays_zero():
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
     policy = dirichlet_policy(g)
-    field = SpinorField.zeros(g.bonds)
+    field = SpinorField(g.bonds)
     out = step(field, g, params, policy)
     assert all(np.all(p == 0) for p in out.phi)
     assert all(np.all(c == 0) for c in out.chi)
@@ -128,7 +128,7 @@ def test_zero_field_stays_zero():
 
 
 def random_field(graph, rng, amplitude=1.0):
-    field = SpinorField.zeros(graph.bonds)
+    field = SpinorField(graph.bonds)
     for p in field.phi:
         p[:] = amplitude * (
             rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
@@ -142,7 +142,7 @@ def random_field(graph, rng, amplitude=1.0):
 
 
 def combine(graph, a, f1, b, f2):
-    out = SpinorField.zeros(graph.bonds)
+    out = SpinorField(graph.bonds)
     for i in range(len(out.phi)):
         out.phi[i][:] = a * f1.phi[i] + b * f2.phi[i]
         out.chi[i][:] = a * f1.chi[i] + b * f2.chi[i]
@@ -344,9 +344,10 @@ def test_guard_raises_iff_peak_exceeds_limit(data):
             a[k] = complex(a[k].real, value)
         else:
             a[k] = complex(value, a[k].imag)
-    field = SpinorField(
-        g.bonds, arrays[0::2], arrays[1::2], initial_max=initial_max
-    )
+    field = SpinorField(g.bonds)
+    for view, a in zip(field.phi + field.chi, arrays[0::2] + arrays[1::2]):
+        view[:] = a
+    field.initial_max = initial_max
     if not field.max_abs() <= limit:
         with pytest.raises(InstabilityError):
             _check_stability(field, params)
@@ -392,21 +393,15 @@ def test_sim_params_rejects_non_finite_values(name, value):
         params.validate()
 
 
-def test_field_shape_must_match_bonds():
-    g = line_graph(length=2.0, dx=0.05)
-    phi = [np.zeros(41, complex), np.zeros(40, complex)]
-    chi = [np.zeros(40, complex), np.zeros(40, complex)]
-    with pytest.raises(ValueError, match=r"bond 2: need 41 phi and 40 chi"):
-        SpinorField(g.bonds, phi, chi)
-
-
 def test_field_constructor_copies_and_views_are_fixed():
-    # the stepper reads the packed buffers: the caller's arrays are copied
-    # in, and a per-bond view cannot be rebound past them
+    # the stepper reads the packed buffers: values written through the
+    # views are copied in, and a per-bond view cannot be rebound past them
     g = line_graph(length=2.0, dx=0.05)
     phi = [np.full(41, 1.0 + 2.0j), np.full(41, 3.0 + 0j)]
     chi = [np.full(40, -1.0j), np.full(40, 0.5 + 0j)]
-    field = SpinorField(g.bonds, phi, chi)
+    field = SpinorField(g.bonds)
+    for view, a in zip(field.phi + field.chi, phi + chi):
+        view[:] = a
     want = [a.tobytes() for a in phi + chi]
     for a in phi + chi:
         a[:] = 7.0
@@ -420,7 +415,7 @@ def test_field_constructor_copies_and_views_are_fixed():
 def test_initial_field_rejects_bond_outside_domain():
     g = line_graph(length=2.0, dx=0.05)
     params = SimParams(mass=0.0, dt=0.04, dx=0.05, n_steps=4)
-    with pytest.raises(ValueError, match="bond_index 3 outside simulated domain"):
+    with pytest.raises(ValueError, match=r"^bond must be in 1..2, got 3$"):
         build_initial_field(
             g, params, dirichlet_policy(g), x0=1.0, sigma=0.2, bond_index=3
         )
@@ -430,10 +425,10 @@ def test_initial_field_rejects_bond_outside_domain():
 def test_initial_field_rejects_non_finite_amplitude(amplitude, monkeypatch):
     # unchecked, nan ended as "non-finite field value at step 1 (interior)";
     # the check comes before any field is allocated
-    def no_field(bonds):
+    def no_field(self, bonds):
         raise AssertionError("field allocated")
 
-    monkeypatch.setattr(SpinorField, "zeros", no_field)
+    monkeypatch.setattr(SpinorField, "__init__", no_field)
     g = line_graph(length=2.0, dx=0.05)
     params = SimParams(mass=0.0, dt=0.04, dx=0.05, n_steps=4)
     with pytest.raises(ValueError, match=rf"^amplitude must be finite, got {amplitude}$"):
@@ -444,9 +439,45 @@ def test_initial_field_rejects_non_finite_amplitude(amplitude, monkeypatch):
 def test_step_rejects_partial_field():
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=4)
-    field = SpinorField.zeros(g.bonds[:2])
+    field = SpinorField(g.bonds[:2])
     with pytest.raises(ValueError, match="field does not cover the full graph"):
         step(field, g, params, dirichlet_policy(g))
+
+
+@pytest.mark.parametrize("planned", [True, False], ids=["replanned", "unplanned"])
+def test_step_checks_the_policy_against_the_graph(planned):
+    # a 2-end-mode policy on a 3-bond star left bond 3's far-end phi at the
+    # spare's stale value, whether the field was planned for another policy
+    # or not planned at all
+    g = canonical_graph()
+    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=4)
+    policy = dirichlet_policy(g, VertexMode.WEIGHTED)
+    if planned:
+        field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
+    else:
+        field = SpinorField(g.bonds)
+    short = BoundaryPolicy(VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * 2)
+    spare = SpinorField(g.bonds)
+    spare._state[:] = 0.7
+    with pytest.raises(ValueError, match="policy has 2 end modes for 3 bonds"):
+        step(field, g, params, short, out=spare)
+
+
+@pytest.mark.parametrize("change", [{"dt": 0.005}, {"mass": 0.5}],
+                         ids=["half_dt", "mass"])
+@pytest.mark.parametrize("planned", [True, False], ids=["replanned", "unplanned"])
+def test_step_checks_the_kernel_against_the_params(change, planned):
+    # open_line.cfg stepped with dt halved or another mass ran on the kernel
+    # built for dt = 0.01, m = 0.01, with no error
+    cfg = load_config(CONFIG_DIR / "open_line.cfg")
+    graph, policy = cfg.build_graph(), cfg.build_policy()
+    params = cfg.sim_params()
+    if planned:
+        field = build_initial_field(graph, params, policy, x0=cfg.x0, sigma=cfg.sigma)
+    else:
+        field = SpinorField(graph.bonds)
+    with pytest.raises(ValueError, match="kernel built for mass 0.01 and dt 0.01"):
+        step(field, graph, replace(params, **change), policy)
 
 
 def test_initial_field_takes_one_peak(monkeypatch):
@@ -471,7 +502,7 @@ def test_initial_field_takes_one_peak(monkeypatch):
         pytest.param(lambda f: f, "out is the field being stepped", id="field"),
         pytest.param(copy.copy, "out shares memory", id="shared"),
         pytest.param(
-            lambda f: SpinorField.zeros(line_graph().bonds), "another bond layout",
+            lambda f: SpinorField(line_graph().bonds), "another bond layout",
             id="layout",
         ),
     ],
@@ -498,7 +529,7 @@ def test_transparent_vertex_rejects_full_graph_field():
         (EndMode.DIRICHLET,) * 3,
         kernel=BesselKernel.build(0.01, 0.01, 4),
     )
-    field = SpinorField.zeros(g.bonds)
+    field = SpinorField(g.bonds)
     with pytest.raises(ValueError, match="bond-1-only"):
         step(field, g, params, policy)
 
