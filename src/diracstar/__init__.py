@@ -4,7 +4,6 @@ from .bessel import BesselKernel, bessel_i0, bessel_i1
 from .boundaries import (
     BoundaryPolicy,
     EndMode,
-    MissingHistoryError,
     VertexMode,
     vertex_tbc_factor,
 )
@@ -24,6 +23,7 @@ from .experiments import run_experiment, sweep_alpha1
 from .graph import Orientation, build_star_graph, sum_rule_residual
 from .solver import (
     InstabilityError,
+    MissingHistoryError,
     SimParams,
     SpinorField,
     build_initial_field,

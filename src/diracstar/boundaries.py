@@ -21,19 +21,14 @@ The derivative is applied analytically (I0' = I1), giving
     chi(L, t) = phi(L, t) + int_0^t [m I1 + i m I0](m (t-s)) phi(L, s) ds,
 which collapses bit-exactly to the local relation chi = phi at m = 0.  A
 left end carries the same relation with an overall minus sign, the vertex
-relation the factor A.  The running integral is evaluated by trapezoidal
-quadrature over the stored boundary history; the newest history entry
-appears inside its own convolution through the trapezoid endpoint, which
-keeps the boundary one-step implicit.  ``_history_convolution`` and
-``_endpoint_coefficient`` are the one evaluator of this relation for all
-three boundaries; the stepper applies the sign and the factor A.
+relation the factor A.  ``solver`` holds the discrete relation:
+``_history_convolution`` with ``_tbc_coefficients`` is its one evaluator
+for all three boundaries, and the stepper applies the sign and the factor A.
 """
 from __future__ import annotations
 
 import enum
 from typing import Sequence
-
-import numpy as np
 
 from .bessel import BesselKernel
 from .graph import StarGraph
@@ -42,7 +37,6 @@ __all__ = [
     "VertexMode",
     "EndMode",
     "BoundaryPolicy",
-    "MissingHistoryError",
     "vertex_tbc_factor",
 ]
 
@@ -58,10 +52,6 @@ class EndMode(enum.Enum):
     TRANSPARENT = "transparent"
 
 
-class MissingHistoryError(ValueError):
-    """Raised when a convolution is requested beyond the recorded history."""
-
-
 def vertex_tbc_factor(alphas: Sequence[float]) -> float:
     """Factor A = a1^2 sum_{j>=2} aj^-2 of the transparent vertex relation.
 
@@ -71,51 +61,6 @@ def vertex_tbc_factor(alphas: Sequence[float]) -> float:
     if len(a) < 2:
         raise ValueError("vertex factor needs at least 2 bond weights")
     return a[0] ** 2 * sum(1.0 / v ** 2 for v in a[1:])
-
-
-class _History:
-    """Boundary values in a complex numpy array of ``capacity`` entries.
-
-    The first value is stored halved, taking the trapezoid's half weight
-    off the kernel (exact above 2^-1021, so the sums round the same).
-    Indexing sees the filled part only; a slice is a view, read as is.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self._data = np.empty(capacity, dtype=complex)
-        self._size = 0
-
-    def append(self, value: complex) -> None:
-        self._data[self._size] = value if self._size else 0.5 * value
-        self._size += 1
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index):
-        return self._data[: self._size][index]
-
-
-def _history_convolution(past: _History, kernel: BesselKernel, level: int) -> complex:
-    """Trapezoid convolution over the strictly-past history entries.
-
-    ``past`` holds the boundary values at levels 0..level-1, the first one
-    halved.  Returns dt * (g_level h_0 / 2 + sum_{k=1}^{level-1} g_{level-k}
-    h_k) where g are the kernel convolution weights; zero at level 0 (empty
-    time interval).
-    """
-    n = len(kernel.reversed_weights) - 1
-    if level > n:
-        raise MissingHistoryError(f"kernel covers {n} steps, level {level} requested")
-    g = kernel.reversed_weights[n - level : n]
-    return complex(kernel.dt * np.dot(g, past[:level]))
-
-
-def _endpoint_coefficient(kernel: BesselKernel, level: int) -> complex:
-    """Multiplier of the newest boundary value in the discrete relation."""
-    if level == 0:
-        return 1.0 + 0.0j
-    return 1.0 + 0.5 * kernel.dt * kernel.conv_weights[0]
 
 
 class BoundaryPolicy:

@@ -99,11 +99,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise a ConfigError naming the section, key and cause of the
         first invalid input."""
-        for section, key, name in _REAL:  # the real-valued keys
+        for section, key, name, tupled in _REAL:  # the real-valued keys
             owner = self.sweep if section == "sweep" else self
             if owner is not None:
                 value = getattr(owner, name)
-                for j, v in enumerate(value if section == _BOND else (value,), 1):
+                for j, v in enumerate(value if tupled else (value,), 1):
                     if not math.isfinite(v):
                         where = f"bond {j}" if section == _BOND else section
                         raise ConfigError(f"[{where}] {key} must be finite, got {v}")
@@ -222,7 +222,9 @@ _KEYS = {
     ("sweep", "points"): ("points", int),
 }
 _SECTIONS = {section for section, _ in _KEYS}
-_REAL = [(s, k, name) for (s, k), (name, parse) in _KEYS.items() if parse is float]
+# (section, key, field, whether the field is a tuple) of each real value
+_REAL = [(s, k, name, s == _BOND or parse is _floats)
+         for (s, k), (name, parse) in _KEYS.items() if parse in (float, _floats)]
 _REQUIRED = {
     f.name for cls in (ExperimentConfig, SweepSpec) for f in fields(cls)
     if f.default is MISSING and f.default_factory is MISSING

@@ -25,6 +25,12 @@ fluxes with the weighted flux balance gives
 with W = sum_j aj^-2, discretized like the interior update.  For two unit
 weights this is exactly the interior stencil across the joined line, so the
 vertex is invisible there.
+
+Transparent boundaries (see boundaries): the running integral of the
+relation is evaluated by trapezoidal quadrature over the stored boundary
+history, whose first entry is stored halved (the trapezoid's half weight);
+the newest history entry appears inside its own convolution through the
+trapezoid endpoint, which keeps the boundary one-step implicit.
 """
 from __future__ import annotations
 
@@ -38,15 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bessel import BesselKernel
-from .boundaries import (
-    BoundaryPolicy,
-    EndMode,
-    VertexMode,
-    _endpoint_coefficient,
-    _History,
-    _history_convolution,
-    vertex_tbc_factor,
-)
+from .boundaries import BoundaryPolicy, EndMode, VertexMode, vertex_tbc_factor
 from .graph import Bond, Orientation, StarGraph
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "InstabilityError",
+    "MissingHistoryError",
     "SimParams",
     "SpinorField",
     "Snapshot",
@@ -164,9 +163,10 @@ class SpinorField:
 
 
 def check_packet(x0: float, sigma: float, bond: Bond) -> None:
-    """The packet rule: sigma finite and positive, x0 on the bond."""
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+    """The packet rule: x0 and sigma finite, sigma positive, x0 on the bond."""
+    for name, value in (("x0", x0), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not bond.contains(x0):
@@ -263,11 +263,54 @@ def build_initial_field(
     return field
 
 
+class MissingHistoryError(ValueError):
+    """Raised when a convolution is requested beyond the recorded history."""
+
+
+class _History:
+    """Boundary values in a complex numpy array of ``capacity`` entries.
+
+    The first value is stored halved, taking the trapezoid's half weight
+    off the kernel (exact above 2^-1021, so the sums round the same).
+    Indexing sees the filled part only; a slice is a view, read as is.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._data = np.empty(capacity, dtype=complex)
+        self._size = 0
+
+    def append(self, value: complex) -> None:
+        self._data[self._size] = value if self._size else 0.5 * value
+        self._size += 1
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        return self._data[: self._size][index]
+
+
+def _history_convolution(past: _History, kernel: BesselKernel, level: int) -> complex:
+    """Trapezoid convolution over the strictly-past history entries.
+
+    ``past`` holds the boundary values at levels 0..level-1, the first one
+    halved.  Returns dt * (g_level h_0 / 2 + sum_{k=1}^{level-1} g_{level-k}
+    h_k) where g are the kernel convolution weights; zero at level 0 (empty
+    time interval).
+    """
+    n = len(kernel.reversed_weights) - 1
+    if level > n:
+        raise MissingHistoryError(f"kernel covers {n} steps, level {level} requested")
+    g = kernel.reversed_weights[n - level : n]
+    return complex(kernel.dt * np.dot(g, past[:level]))
+
+
 def _tbc_coefficients(kernel: BesselKernel, params: SimParams, factor: float = 1.0):
     """(denominator, numerator factor) of a transparent node's equation at
-    level 0 and at every later level, which share one endpoint coefficient."""
+    level 0 and at every later level; the newest value's multiplier is 1 at
+    level 0 (an empty interval), then 1 plus its trapezoid weight dt g_0 / 2."""
     lam_a, beta = params.courant * factor, 0.5j * params.mass * params.dt
-    endpoint = (_endpoint_coefficient(kernel, 0), _endpoint_coefficient(kernel, 1))
+    endpoint = (1.0 + 0.0j, 1.0 + 0.5 * kernel.dt * kernel.conv_weights[0])
     return tuple((1.0 + lam_a * f + beta, 1.0 - lam_a * f - beta) for f in endpoint)
 
 
@@ -326,21 +369,6 @@ def _stencil(out, num, old, lam, hi, lo, divisor, diff) -> None:
     np.multiply(num, old, out=out)
     np.subtract(out, diff, out=out)
     _divide(out, divisor)
-
-
-def _history(field: SpinorField, key: str, kernel: BesselKernel) -> _History:
-    """The boundary's history buffer, created on the first step with room
-    for every level the kernel covers."""
-    history = field.histories.get(key)
-    if history is None:
-        history = field.histories[key] = _History(len(kernel.reversed_weights))
-    if len(history) != field.time_level:
-        raise ValueError(
-            f"history '{key}' has {len(history)} entries at time level "
-            f"{field.time_level}: step only the newest field of a run, with "
-            "the boundary modes it started with"
-        )
-    return history
 
 
 class _StepPlan:
@@ -454,9 +482,19 @@ def step(
         for k, a in zip(nodes, alphas):
             new_phi[k] = shared_new / a
     for key, node, cell, right_end, factor, coefficients in plan.transparent:
+        # made on the first step, with room for every level the kernel covers
+        history = field.histories.get(key)
+        if history is None:
+            history = field.histories[key] = _History(len(policy.kernel.reversed_weights))
+        if len(history) != level:
+            raise ValueError(
+                f"history '{key}' has {len(history)} entries at time level "
+                f"{level}: step only the newest field of a run, with "
+                "the boundary modes it started with"
+            )
         new_phi[node] = _solve_tbc_node(
-            phi[node], chi[cell], _history(field, key, policy.kernel),
-            policy.kernel, level, plan.two_lam, coefficients, right_end, factor,
+            phi[node], chi[cell], history, policy.kernel, level,
+            plan.two_lam, coefficients, right_end, factor,
         )
     for node in plan.walls:
         new_phi[node] = 0.0

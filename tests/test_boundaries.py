@@ -15,13 +15,8 @@ from diracstar import (
     sum_rule_residual,
     vertex_tbc_factor,
 )
-from diracstar.boundaries import (
-    _endpoint_coefficient,
-    _History,
-    _history_convolution,
-)
 from diracstar import solver
-from diracstar.solver import _vertex_shared_value
+from diracstar.solver import _History, _history_convolution, _vertex_shared_value
 
 from .conftest import CANONICAL_ALPHAS
 from .oracles import trapezoid_convolution
@@ -67,9 +62,10 @@ def assert_local_relation(kernel, sign, factor, seed):
     """
     rng = np.random.default_rng(seed)
     lam = MASSLESS.courant
+    first, later = solver._tbc_coefficients(kernel, MASSLESS, factor)
+    assert later == first  # the newest value's multiplier stays 1
     history = _History(len(kernel.reversed_weights))
     for level in range(20):
-        assert _endpoint_coefficient(kernel, level) == 1
         assert _history_convolution(history, kernel, level) == 0
         q, chi_adj = (complex(v) for v in random_history(rng, 2))
         p = _solve_tbc_node(

@@ -135,12 +135,14 @@ def test_bad_float_names_the_field(tmp_path):
     ("graph", "dx"), ("simulation", "mass"), ("simulation", "dt"),
     ("initial", "x0"), ("initial", "sigma"), ("initial", "amplitude"),
     ("bond 1", "length"), ("bond 2", "alpha"), ("sweep", "from"), ("sweep", "to"),
+    ("sampling", "snapshot_times"),
 ])
 def test_non_finite_value_names_its_key(tmp_path, section, key, value):
     # a NaN passes every "< 0" test, so unchecked it fails later and names
     # another cause ("non-finite field value at step 1", "kernel overflows")
     parser = configparser.ConfigParser()
-    parser.read_string(MINIMAL + "[sweep]\nfrom = 0.5\nto = 1.5\npoints = 3\n")
+    parser.read_string(MINIMAL + "[sweep]\nfrom = 0.5\nto = 1.5\npoints = 3\n"
+                       "[sampling]\nsnapshot_times = 0.5\n")
     parser[section][key] = value
     path = tmp_path / "test.cfg"
     with open(path, "w") as fh:
@@ -155,6 +157,15 @@ def test_snapshot_time_out_of_range(tmp_path):
     bad = MINIMAL + "\n[sampling]\nsnapshot_times = 0.5 99\n"
     with pytest.raises(ConfigError, match="snapshot time"):
         load_config(write_config(tmp_path, bad))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_snapshot_time_is_a_validation_error(tmp_path, value):
+    # unchecked, the step of an infinite time raised OverflowError (exit 1,
+    # a traceback) and that of nan a ValueError naming no key
+    path = write_config(tmp_path, MINIMAL + f"\n[sampling]\nsnapshot_times = 0 {value}\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_snapshot_times_on_one_step_rejected(tmp_path):

@@ -27,7 +27,9 @@ from diracstar import (
 )
 from diracstar.diagnostics import node_profile
 from diracstar.config import ExperimentConfig
-from diracstar.solver import OVERFLOW_FACTOR, _check_stability, _divide, _divisor
+from diracstar.solver import (
+    OVERFLOW_FACTOR, _check_stability, _divide, _divisor, check_packet,
+)
 
 from .conftest import CANONICAL_ALPHAS, CONFIG_DIR
 from .oracles import gaussian
@@ -90,6 +92,19 @@ def test_non_finite_sigma_named_as_the_cause(sigma):
     with pytest.raises(ValueError, match=cause):
         build_initial_field(g, SimParams(0.0, 0.01, 0.0125, 10), dirichlet_policy(g),
                             x0=-5.0, sigma=sigma)
+
+
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_non_finite_x0_named_as_the_cause(x0):
+    # the packet rule that config and library share; unchecked, the
+    # message said "x0 = nan lies outside bond 1"
+    g = line_graph()
+    cause = rf"^x0 must be finite, got {x0}$"
+    with pytest.raises(ValueError, match=cause):
+        check_packet(x0, 0.9, g.bonds[0])
+    with pytest.raises(ValueError, match=cause):
+        build_initial_field(g, SimParams(0.0, 0.01, 0.0125, 10), dirichlet_policy(g),
+                            x0=x0, sigma=0.9)
 
 
 def test_gaussian_continuum_norm_is_two():
