@@ -1,6 +1,6 @@
 """Dirac wave packets on metric star graphs with transparent boundaries."""
 
-from .bessel import BesselKernel, bessel_i0, bessel_i1
+from .bessel import BesselKernel
 from .boundaries import (
     BoundaryPolicy,
     EndMode,
@@ -46,8 +46,6 @@ __all__ = [
     "SimParams",
     "SpinorField",
     "VertexMode",
-    "bessel_i0",
-    "bessel_i1",
     "boundary_form",
     "build_initial_field",
     "build_star_graph",

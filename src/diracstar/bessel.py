@@ -1,17 +1,24 @@
-"""Modified Bessel functions I0, I1 and the precomputed convolution kernel.
+"""Bessel functions J0, J1 and the precomputed convolution kernel.
 
 The transparent boundary conditions convolve the boundary history with
-I0(m (t - tau)).  The outer time derivative of that convolution is taken
-analytically (I0' = I1), so the discrete boundary value needs samples of
-both I0 and I1 on the uniform time grid.
+J0(m (t - tau)), the kernel of the Klein-Gordon operator that is the
+second-order form of the interior stencil (see ``boundaries``).  The outer
+time derivative of that convolution is taken analytically (J0' = -J1), so
+the discrete boundary value needs samples of both J0 and J1 on the uniform
+time grid.
 
-I0 and I1 are evaluated with the ascending power series for z <= 15 and the
-scaled large-argument expansion beyond.  All series terms of the ascending
-series are positive, so the summation is cancellation-free; relative error
-is below 1e-12 on both branches.  Both run on whole arrays: every sample
-(lane) takes the scalar recurrence's operations in its order and stops at
-its own last term, so its bits do not depend on the other samples.  Each
-order takes at most 35 passes over the array: ~2 ms for 12 001 samples.
+Both orders are evaluated on a whole ascending array of z >= 0, in three
+branches:
+  z < 4        the ascending series, summed until every term is at most
+               1e-18;
+  4 <= z < 25  the midpoint rule with 16 nodes on a quarter period of
+               J0 = (2/pi) int_0^{pi/2} cos(z sin t) dt and
+               J1 = (2/pi) int_0^{pi/2} sin t sin(z sin t) dt; both
+               integrands are pi-periodic and even, so the rule converges
+               geometrically;
+  z >= 25      Hankel's expansion, 12 terms in each of P and Q.
+The absolute error is below 1e-15 on [0, 2000] against mpmath (tests).
+|J0|, |J1| <= 1, so the kernel weights stay in range for any finite z.
 """
 from __future__ import annotations
 
@@ -19,98 +26,75 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["bessel_i0", "bessel_i1", "BesselKernel"]
+__all__ = ["BesselKernel"]
 
-_SERIES_CUTOFF = 15.0
-_EPS = 2.220446049250313e-16
-_LOG_MAX = float(np.log(np.finfo(float).max))
-_MAX_TERMS = 100  # every finite z >= 0 stops within 34 terms on either branch
+_QUADRATURE_START, _HANKEL_START = 4.0, 25.0
 
 
-def _series(order: int, z: np.ndarray) -> np.ndarray:
-    # (z/2)^order sum_k (z^2/4)^k / (k! (k+order)!); a lane stops after the
-    # first term <= _EPS * total, and stopped lanes keep their values
-    q = 0.25 * z * z
-    term = np.ones_like(z) if order == 0 else 0.5 * z
-    total = term.copy()
-    live = np.ones(z.shape, bool)
-    for k in range(1, _MAX_TERMS):
-        np.multiply(term, q / (k * (k + order)), out=term, where=live)
-        np.add(total, term, out=total, where=live)
-        live &= term > _EPS * total
-        if not live.any():
-            return total
-    raise ArithmeticError(f"I{order} series did not converge")
+def _series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # J0 = sum_k (-q)^k / (k!)^2 and J1 = (z/2) sum_k (-q)^k / (k! (k+1)!),
+    # q = z^2/4; the largest z bounds every term of both (z/2 < k + 1)
+    top, term, n = 0.25 * float(z[-1]) ** 2, 1.0, 1
+    while term > 1e-18:
+        term *= top / (n * n)
+        n += 1
+    k = np.arange(n)
+    fact = np.cumprod(np.maximum(k, 1.0))  # k!
+    q = -0.25 * z * z
+    return (np.polyval(1.0 / (fact * fact)[::-1], q),
+            0.5 * z * np.polyval(1.0 / (fact * fact * (k + 1))[::-1], q))
 
 
-def _asymptotic(order: int, z: np.ndarray) -> np.ndarray:
-    # e^z / sqrt(2 pi z) sum_k (-1)^k a_k(order) / z^k, truncated at the
-    # smallest term (remainder ~ e^{-2z}, < 1e-13 relative for z > 15): a
-    # lane stops at the first term that does not shrink or is <= _EPS *
-    # |total|, and adds that term only if it shrank
-    mu = 4 * order * order
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    live = np.ones(z.shape, bool)
-    for k in range(1, _MAX_TERMS):
-        nxt = term * (-(mu - (2 * k - 1) ** 2) / (8.0 * k * z))
-        smaller = np.abs(nxt) < np.abs(term)
-        go = smaller & (np.abs(nxt) > _EPS * np.abs(total))
-        np.add(total, nxt, out=total, where=live & smaller)
-        live &= go
-        np.copyto(term, nxt, where=live)
-        if not live.any():
-            return np.exp(z) / np.sqrt(2.0 * np.pi * z) * total
-    raise ArithmeticError(f"I{order} expansion did not converge")
+def _quadrature(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # sin t at the midpoints; made per call, as a first np.sin maps ~128 KB
+    # of code that runs without a sample in this branch never need
+    nodes = np.sin((np.arange(16) + 0.5) * (np.pi / 32))
+    x = np.multiply.outer(z, nodes)
+    return np.cos(x).mean(axis=1), np.sin(x) @ nodes / len(nodes)
 
 
-def _bessel_iv(order: int, z: np.ndarray) -> np.ndarray:
-    """I0 (order 0) or I1 (order 1) at every element of a float array z."""
-    bad = ~((z >= 0.0) & (z < np.inf))
-    if bad.any():
-        raise ValueError(f"I{order} requires finite z >= 0, got {z[bad][0]}")
-    out = np.empty_like(z)
-    small = z <= _SERIES_CUTOFF
-    out[small] = _series(order, z[small])
-    out[~small] = _asymptotic(order, z[~small])
-    return out
+def _hankel_coefficients(order: int, terms: int = 12) -> tuple[list, list]:
+    # P = sum_k (-1)^k a_2k w^k and Q z = sum_k (-1)^k a_2k+1 w^k, w = 1/z^2,
+    # a_k = prod_{j<=k} (4 order^2 - (2j-1)^2) / (k! 8^k); highest first
+    a = [1.0]
+    for k in range(1, 2 * terms):
+        a.append(a[-1] * (4 * order * order - (2 * k - 1) ** 2) / (8.0 * k))
+    signed = [(-1) ** (k // 2) * v for k, v in enumerate(a)]
+    return signed[-2::-2], signed[::-2]
 
 
-def bessel_i0(z: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series for z <= 15, large-argument expansion beyond; relative
-    error < 1e-12.  Rejects negative and non-finite arguments (kernel
-    arguments are m (t - tau) >= 0).
-    """
-    return float(_bessel_iv(0, np.array([float(z)]))[0])
+_HANKEL = [_hankel_coefficients(order) for order in (0, 1)]
 
 
-def bessel_i1(z: float) -> float:
-    """Modified Bessel function of the first kind, order one."""
-    return float(_bessel_iv(1, np.array([float(z)]))[0])
+def _hankel(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # J0 = (P0 cos c0 - Q0 sin c0) sqrt(2/(pi z)) with c0 = z - pi/4, and
+    # c1 = c0 - pi/2; cos c0 and sin c0 come from cos z and sin z, so the
+    # phase z - pi/4 is never rounded
+    w, amp = 1.0 / (z * z), 1.0 / np.sqrt(np.pi * z)
+    c, s = np.cos(z), np.sin(z)
+    cos0, sin0 = c + s, s - c  # sqrt 2 cos c0, sqrt 2 sin c0
+    (p0, q0), (p1, q1) = ((np.polyval(p, w), np.polyval(q, w) / z) for p, q in _HANKEL)
+    return amp * (p0 * cos0 - q0 * sin0), amp * (p1 * sin0 + q1 * cos0)
 
 
-def kernel_overflow(mass: float, dt: float, n_steps: int) -> str | None:
-    """Why the kernel weights up to ``n_steps`` leave the float range, or None."""
-    # the largest weight, m I0(m dt n_steps), is below m exp(m dt n_steps)
-    limit = _LOG_MAX - float(np.log(max(mass, 1.0)))
-    if mass * dt * n_steps <= limit:
-        return None
-    return (
-        f"kernel overflows: mass {mass!r}, dt {dt!r} and n_steps {n_steps} "
-        f"give m*dt*n_steps = {mass * dt * n_steps:g}, but the weights "
-        f"m I0, m I1 leave the float range beyond {limit:.2f}"
-    )
+def _bessel_j(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J0 and J1 at every element of an ascending float array z >= 0."""
+    j0, j1 = np.empty_like(z), np.empty_like(z)
+    a, b = np.searchsorted(z, (_QUADRATURE_START, _HANKEL_START))
+    for branch, part in ((_series, slice(0, a)), (_quadrature, slice(a, b)),
+                         (_hankel, slice(b, None))):
+        if z[part].size:
+            j0[part], j1[part] = branch(z[part])
+    return j0, j1
 
 
 @dataclass(frozen=True)
 class BesselKernel:
     """Kernel samples for the boundary convolutions on a fixed time grid.
 
-    ``samples[k] = I0(m k dt)`` and ``i1_samples[k] = I1(m k dt)`` for
+    ``samples[k] = J0(m k dt)`` and ``i1_samples[k] = J1(m k dt)`` for
     k = 0..n_steps.  ``conv_weights`` holds the combination
-    ``m I1(m k dt) + i m I0(m k dt)`` that multiplies the boundary history
+    ``-m J1(m k dt) + i m J0(m k dt)`` that multiplies the boundary history
     in the discrete transparent boundary relation, a reversed view of the
     contiguous ``reversed_weights``, whose slices the convolutions read.
     Immutable; one instance may be shared by any number of simulations.
@@ -124,7 +108,7 @@ class BesselKernel:
     conv_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rev = self.mass * self.i1_samples[::-1] + 1j * self.mass * self.samples[::-1]
+        rev = -self.mass * self.i1_samples[::-1] + 1j * self.mass * self.samples[::-1]
         object.__setattr__(self, "reversed_weights", rev)
         object.__setattr__(self, "conv_weights", rev[::-1])
 
@@ -136,7 +120,9 @@ class BesselKernel:
             raise ValueError(f"dt must be finite and positive, got {dt}")
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-        if overflow := kernel_overflow(mass, dt, n_steps):
-            raise ValueError(overflow)
-        z = mass * dt * np.arange(n_steps + 1)
-        return cls(mass, dt, _bessel_iv(0, z), _bessel_iv(1, z))
+        if not mass * dt * n_steps < np.inf:
+            raise ValueError(
+                f"kernel argument m*dt*n_steps is not finite: mass {mass!r}, "
+                f"dt {dt!r} and n_steps {n_steps}"
+            )
+        return cls(mass, dt, *_bessel_j(mass * dt * np.arange(n_steps + 1)))

@@ -14,14 +14,23 @@ End modes (far ends of the truncated bonds)
   TRANSPARENT   time-convolution condition, so outgoing packets exit without
                 reflection.
 
-The continuous transparent relation at a right end is
-    chi(L, t) = d/dt int_0^t I0(m (t-s)) phi(L, s) ds
-              + i m int_0^t I0(m (t-s)) phi(L, s) ds.
-The derivative is applied analytically (I0' = I1), giving
-    chi(L, t) = phi(L, t) + int_0^t [m I1 + i m I0](m (t-s)) phi(L, s) ds,
-which collapses bit-exactly to the local relation chi = phi at m = 0.  A
-left end carries the same relation with an overall minus sign, the vertex
-relation the factor A.  ``solver`` holds the discrete relation:
+The continuous transparent relation at a right end: the bond carries
+    d/dt phi = -d/dx chi - i m phi,   d/dt chi = -d/dx phi + i m chi
+(the interior stencil of ``solver``), and beyond x = L the field starts at
+zero.  Laplace-transformed in t (variable p), phi'' = (p^2 + m^2) phi, the
+Klein-Gordon symbol; the decaying solution has phi' = -k phi with
+k = sqrt(p^2 + m^2), and the chi equation gives chi = (p + i m) phi / k.
+1/k is the transform of J0(m t), so
+    chi(L, t) = d/dt int_0^t J0(m (t-s)) phi(L, s) ds
+              + i m int_0^t J0(m (t-s)) phi(L, s) ds.
+The derivative is applied analytically (J0(0) = 1, J0' = -J1), giving
+    chi(L, t) = phi(L, t) + int_0^t [-m J1 + i m J0](m (t-s)) phi(L, s) ds,
+which collapses bit-exactly to the local relation chi = phi at m = 0: the
+weights are m times samples bounded by 1, so exactly zero.  (The paper
+writes the kernel as I0, the transform of 1/sqrt(p^2 - m^2); on this
+system that kernel grows like e^{m t}.)  A left end carries the same
+relation with an overall minus sign, the vertex relation the factor A.
+``solver`` holds the discrete relation:
 ``_history_convolution`` with ``_tbc_coefficients`` is its one evaluator
 for all three boundaries, and the stepper applies the sign and the factor A.
 """

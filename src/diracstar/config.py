@@ -23,7 +23,7 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .bessel import BesselKernel, kernel_overflow
+from .bessel import BesselKernel
 from .boundaries import BoundaryPolicy, EndMode, VertexMode
 from .graph import StarGraph, build_star_graph
 from .solver import SimParams, check_packet, check_source
@@ -121,9 +121,6 @@ class ExperimentConfig:
                     f"[bond {j}] end_mode = transparent has no effect: a "
                     "transparent vertex simulates bond 1 only"
                 )
-        if "transparent" in (self.vertex_mode, *ends):
-            if overflow := kernel_overflow(self.mass, self.dt, self.n_steps):
-                raise ConfigError(f"[simulation] {overflow}")
         source = _checked("initial", check_source, graph, vertex, self.source_bond)
         _checked("initial", check_packet, self.x0, self.sigma, source)
         if self.sample_every < 1:

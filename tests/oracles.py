@@ -2,16 +2,14 @@
 
 Deliberately self-contained: the free-line solver below re-implements the
 staggered leap-frog scheme on a single interval in plain numpy (no imports
-from the package under test), and the Bessel reference sums the ascending
-series in extended precision with a rigorous truncation bound.  These
-provide the ground truths the production code is checked against.  The
-scalar Bessel loops further down are a bit reference, not a truth: the
-kernel samples must equal them byte for byte.
+from the package under test), and the Bessel reference is mpmath's J0 and
+J1 in extended precision.  These provide the ground truths the production
+code is checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import mpmath
 import numpy as np
@@ -145,109 +143,11 @@ def free_line_solution(
     )
 
 
-class BesselSeriesValue(NamedTuple):
-    value: float
-    bound: float
-
-
-def bessel_series_reference(z: float, terms: int = 200) -> BesselSeriesValue:
-    """Extended-precision partial sum of sum_k (z^2/4)^k / (k!)^2.
-
-    Returns the sum and a rigorous truncation bound: past term K the ratio
-    of consecutive terms is below q/(K+1)^2 with q = z^2/4, so the tail is
-    dominated by a geometric series once that ratio drops below one.
-    Raises if the budgeted number of terms cannot certify convergence.
-    """
-    if z < 0:
-        raise ValueError(f"z must be non-negative, got {z}")
-    if terms < 1:
-        raise ValueError("need at least one term")
-    with mpmath.workdps(60):
-        q = mpmath.mpf(z) ** 2 / 4
-        term = mpmath.mpf(1)
-        total = mpmath.mpf(1)
-        for k in range(1, terms):
-            term *= q / k**2
-            total += term
-        next_term = term * q / mpmath.mpf(terms) ** 2
-        ratio = q / mpmath.mpf(terms + 1) ** 2
-        if ratio >= 1:
-            raise ValueError(
-                f"series for z = {z} not certified within {terms} terms"
-            )
-        bound = next_term / (1 - ratio)
-        return BesselSeriesValue(float(total), float(bound))
-
-
-_SERIES_CUTOFF = 15.0
-_EPS = 2.220446049250313e-16
-
-
-def _i0_series(z: float) -> float:
-    # sum_k (z^2/4)^k / (k!)^2
-    q = 0.25 * z * z
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * k)
-        total += term
-        if term <= _EPS * total:
-            return total
-
-
-def _i1_series(z: float) -> float:
-    # (z/2) * sum_k (z^2/4)^k / (k! (k+1)!)
-    q = 0.25 * z * z
-    term = 0.5 * z
-    total = term
-    if z == 0.0:
-        return 0.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + 1))
-        total += term
-        if term <= _EPS * total:
-            return total
-
-
-def _iv_asymptotic(nu: int, z: float) -> float:
-    # e^z / sqrt(2 pi z) * sum_k (-1)^k a_k(nu) / z^k, truncated at the
-    # smallest term (remainder ~ e^{-2z}, < 1e-13 relative for z > 15)
-    mu = 4 * nu * nu
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        factor = -(mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-        nxt = term * factor
-        if abs(nxt) >= abs(term) or abs(nxt) <= _EPS * abs(total):
-            if abs(nxt) < abs(term):
-                total += nxt
-            break
-        term = nxt
-        total += term
-    try:
-        scale = np.exp(z) / np.sqrt(2.0 * np.pi * z)
-    except OverflowError:  # pragma: no cover - exp(z) overflow path
-        return float("inf")
-    return float(scale * total)
-
-
-def scalar_bessel_iv(order: int, z: float) -> float:
-    """I0 (order 0) or I1 (order 1) at one z >= 0, one Python loop per call.
-
-    These are the scalar series and large-argument loops that sampled the
-    kernel before it was evaluated on whole arrays, kept verbatim: their
-    results are the bits every kernel sample must keep.  Not a check of
-    accuracy (``bessel_series_reference`` and mpmath are).
-    """
-    if z <= _SERIES_CUTOFF:
-        return (_i0_series, _i1_series)[order](z)
-    return _iv_asymptotic(order, z)
+def besselj_reference(order: int, z) -> np.ndarray:
+    """J0 (order 0) or J1 (order 1) at every z, from mpmath's ``besselj``
+    at 40 digits, rounded once to float."""
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.besselj(order, v)) for v in np.ravel(z)])
 
 
 def leapfrog_interior(old_phi, old_chi, new_phi, lam, cp, cm):

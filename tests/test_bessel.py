@@ -1,129 +1,39 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diracstar import BesselKernel, bessel_i0, bessel_i1, load_config
-from diracstar.bessel import _asymptotic, _bessel_iv, _series
-
-from .conftest import CONFIG_DIR
-from .oracles import scalar_bessel_iv
-
-
-def test_i0_at_zero_is_exactly_one():
-    assert bessel_i0(0.0) == 1.0
-
-
-@pytest.mark.parametrize(
-    "z, expected",
-    [
-        (1.0, 1.2660658777520084),
-        (0.1, 1.0025015629340956),
-    ],
-)
-def test_i0_frozen_values(z, expected):
-    assert math.isclose(bessel_i0(z), expected, rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 5.0, 12.0, 15.0, 20.0, 30.0, 100.0])
-def test_i0_matches_mpmath(z):
-    ref = float(mpmath.besseli(0, z))
-    assert math.isclose(bessel_i0(z), ref, rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("z", [0.0, 0.1, 1.0, 5.0, 15.0, 30.0, 100.0])
-def test_i1_matches_mpmath(z):
-    ref = float(mpmath.besseli(1, z))
-    if ref == 0.0:
-        assert bessel_i1(z) == 0.0
-    else:
-        assert math.isclose(bessel_i1(z), ref, rel_tol=1e-12)
-
-
-def test_negative_argument_rejected():
-    with pytest.raises(ValueError):
-        bessel_i0(-0.1)
-    with pytest.raises(ValueError):
-        bessel_i1(-2.0)
-
-
-@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("function", [bessel_i0, bessel_i1])
-def test_non_finite_argument_rejected(function, z):
-    # a NaN never meets the large-argument loop's stop test
-    with pytest.raises(ValueError, match=f"got {z}"):
-        function(z)
-    with pytest.raises(ValueError, match=f"got {z}"):
-        _bessel_iv(0, np.array([1.0, z, 20.0]))
+from diracstar import BesselKernel
+from diracstar.bessel import _hankel, _quadrature, _series
 
 
 def test_branch_agreement_at_cutoff():
-    # series and asymptotic branches agree where the implementation switches
-    at_cutoff = np.array([15.0])
-    assert math.isclose(
-        _series(0, at_cutoff)[0], _asymptotic(0, at_cutoff)[0], rel_tol=1e-10
-    )
-
-
-def assert_scalar_bits(z, i0, i1):
-    """i0, i1 equal, byte for byte, the scalar loops' I0 and I1 at z."""
-    for order, got in ((0, i0), (1, i1)):
-        expected = np.array([scalar_bessel_iv(order, v) for v in z.tolist()])
-        assert got.tobytes() == expected.tobytes(), f"I{order} bits differ"
-
-
-_RNG = np.random.default_rng(20)
-_Z_GRIDS = {
-    "dense [0, 15]": np.linspace(0.0, 15.0, 6001),
-    "random [0, 15]": _RNG.uniform(0.0, 15.0, 4000),
-    "15.0 and its neighbours": np.array(
-        [np.nextafter(15.0, 0.0), 15.0, np.nextafter(15.0, 16.0)]
-    ),
-    "dense (15, 709.78]": np.linspace(np.nextafter(15.0, 16.0), 709.78, 6001),
-    "random (15, 709.78]": _RNG.uniform(15.0, 709.78, 4000),
-    "zero": np.array([0.0]),
-}
-
-
-@pytest.mark.parametrize("grid", _Z_GRIDS)
-def test_samples_keep_the_scalar_loops_bits(grid):
-    z = _Z_GRIDS[grid]
-    assert_scalar_bits(z, _bessel_iv(0, z), _bessel_iv(1, z))
-
-
-@pytest.mark.parametrize(
-    "mass, dt, n_steps",
-    [
-        *[(c.mass, c.dt, c.n_steps) for c in map(
-            load_config, sorted(CONFIG_DIR.glob("*.cfg"))
-        )],
-        (1.0, 0.1, 7097),  # up to z = 709.7, just inside the float range
-        (100.0, 0.01, 705),
-        (1.5, 1.0, 10),  # ends at exactly z = 15.0
-        (0.37, 0.029, 1500),  # crosses the cutoff between two samples
-    ],
-)
-def test_kernel_keeps_the_scalar_loops_bits(mass, dt, n_steps):
-    kernel = BesselKernel.build(mass, dt, n_steps)
-    z = mass * dt * np.arange(n_steps + 1)
-    assert_scalar_bits(z, kernel.samples, kernel.i1_samples)
+    # neighbouring branches agree where the evaluator switches, at z = 4
+    # (series | quadrature) and z = 25 (quadrature | Hankel)
+    for below, above, cutoff in ((_series, _quadrature, 4.0), (_quadrature, _hankel, 25.0)):
+        at = np.array([cutoff])
+        for lower, upper in zip(below(at), above(at)):
+            assert abs(lower[0] - upper[0]) <= 1e-15
 
 
 def test_kernel_invariants():
-    kernel = BesselKernel.build(mass=0.01, dt=0.01, n_steps=1000)
-    assert kernel.samples[0] == 1.0
-    assert np.all(np.diff(kernel.samples) >= 0)
-    assert np.all(kernel.samples >= 1.0)
-    assert len(kernel.samples) == len(kernel.i1_samples) == 1001
+    kernel = BesselKernel.build(mass=1.0, dt=0.02, n_steps=1500)  # z up to 30
+    assert kernel.samples[0] == 1.0 and kernel.i1_samples[0] == 0.0
+    assert np.all(np.abs(kernel.samples) <= 1.0)
+    assert np.all(np.abs(kernel.i1_samples) <= 1.0)
+    assert np.min(kernel.samples) < -0.4  # J0 oscillates: J0(3.83) = -0.40
+    assert len(kernel.samples) == len(kernel.i1_samples) == 1501
 
 
 @given(mass=st.floats(0.0, 5.0), dt=st.floats(1e-3, 0.5))
-def test_kernel_monotone_for_any_mass(mass, dt):
+def test_kernel_bounded_for_any_mass(mass, dt):
     kernel = BesselKernel.build(mass, dt, 50)
     assert kernel.samples[0] == 1.0
-    assert np.all(np.diff(kernel.samples) >= 0)
+    assert np.all(np.abs(kernel.samples) <= 1.0)
+    assert np.all(np.abs(kernel.i1_samples) <= 1.0)
+    # |w| = m sqrt(J0^2 + J1^2) <= m, from J0^2 + 2 sum_k Jk^2 = 1
+    assert np.all(np.abs(kernel.conv_weights) <= mass * (1.0 + 1e-15))
 
 
 def test_massless_kernel_weights_vanish():
@@ -132,11 +42,18 @@ def test_massless_kernel_weights_vanish():
     assert np.all(kernel.samples == 1.0)
 
 
-def test_kernel_build_validation():
-    with pytest.raises(ValueError):
+def test_negative_argument_rejected():
+    # kernel arguments are m (t - tau) >= 0 on a grid of n_steps + 1 levels
+    with pytest.raises(ValueError, match="mass must be .* got -0.1"):
         BesselKernel.build(-0.1, 0.01, 10)
-    with pytest.raises(ValueError):
-        BesselKernel.build(0.1, 0.0, 10)
+    for dt in (0.0, -0.01):
+        with pytest.raises(ValueError, match=f"dt must be .* got {dt}"):
+            BesselKernel.build(0.1, dt, 10)
+    with pytest.raises(ValueError, match="n_steps must be non-negative, got -1"):
+        BesselKernel.build(0.1, 0.01, -1)
+
+
+def test_kernel_build_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"mass must be finite .* got {bad}"):
             BesselKernel.build(bad, 0.01, 10)
@@ -144,21 +61,25 @@ def test_kernel_build_validation():
             BesselKernel.build(0.1, bad, 10)
 
 
-def test_kernel_overflow_rejected_before_sampling(monkeypatch):
-    # m dt k passes log(max float) = 709.78 at k = 4732 of 12000: the samples
-    # would be inf, and the run would fail later as a "non-finite field value"
-    import diracstar.bessel as bessel_module
-
-    calls = []
-    monkeypatch.setattr(bessel_module, "_bessel_iv", lambda *a: calls.append(a))
-    named = r"mass 3\.0, dt 0\.05 and n_steps 12000 give m\*dt\*n_steps = 1800"
+def test_non_finite_kernel_argument_rejected():
+    # finite inputs whose product overflows: unchecked, the samples would be
+    # NaN and the run would fail later as a "non-finite field value"
+    named = r"m\*dt\*n_steps is not finite: mass 1e\+300, dt 10000000000\.0 and n_steps 10"
     with pytest.raises(ValueError, match=named):
-        BesselKernel.build(3.0, 0.05, 12000)
-    assert calls == []
-    monkeypatch.undo()
-    # just inside the range every weight is finite
-    for mass, dt, n_steps in ((1.0, 0.1, 7097), (100.0, 0.01, 705)):
-        kernel = BesselKernel.build(mass, dt, n_steps)
-        assert np.all(np.isfinite(kernel.conv_weights))
-    with pytest.raises(ValueError, match="kernel overflows"):
-        BesselKernel.build(100.0, 0.01, 706)
+        BesselKernel.build(1e300, 1e10, 10)
+    with pytest.raises(ValueError, match="not finite"):
+        BesselKernel.build(1e300, 1e10, 0)  # 1e310 * 0 is NaN, not 0
+
+
+@pytest.mark.parametrize("mass, dt, n_steps", [
+    (3.0, 0.05, 12000),  # m dt n = 1800
+    (6.0, 0.01, 12000),  # 720
+    (100.0, 0.01, 706),
+    (1e3, 1e2, 1000),  # 1e8
+])
+def test_kernel_past_the_old_overflow_stays_finite(mass, dt, n_steps):
+    # a modified-Bessel kernel leaves the float range beyond m dt n = 709.78;
+    # J0 and J1 stay bounded, so these are accepted with finite weights
+    kernel = BesselKernel.build(mass, dt, n_steps)
+    assert np.all(np.isfinite(kernel.conv_weights))
+    assert np.max(np.abs(kernel.samples[1:])) < 1.0

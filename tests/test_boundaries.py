@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,8 @@ from diracstar import (
     VertexMode,
     build_initial_field,
     build_star_graph,
+    load_config,
+    run,
     step,
     sum_rule_residual,
     vertex_tbc_factor,
@@ -18,7 +22,7 @@ from diracstar import (
 from diracstar import solver
 from diracstar.solver import _History, _history_convolution, _vertex_shared_value
 
-from .conftest import CANONICAL_ALPHAS
+from .conftest import CANONICAL_ALPHAS, CONFIG_DIR
 from .oracles import trapezoid_convolution
 
 MASSLESS = SimParams(mass=0.0, dt=0.01, dx=0.0125, n_steps=64)
@@ -304,3 +308,25 @@ def test_initial_field_checks_end_mode_count():
         )
         with pytest.raises(ValueError, match="end modes"):
             build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+
+
+# An open run never gains energy.  Closed, the leap-frog scheme conserves the
+# discrete energy exactly; a transparent boundary only lets energy out, so
+# in exact arithmetic E(n) <= E(0).  In floats each step rounds every stored
+# value through at most 5 operations (difference, times lam, times the mass
+# factor, subtraction, division), each within eps relative, so the quadratic
+# energy moves by at most 2 * 5 eps relative per step, and by 10 n eps over
+# n steps when every rounding adds up: 3.3e-12 at 1500 steps.  Measured: at
+# most 1.05e-13.
+@pytest.mark.parametrize("mass", [0.0, 0.01, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("name, vertex_mode", [
+    ("open_line.cfg", "kirchhoff"), ("transparent_star.cfg", "transparent"),
+])
+def test_open_runs_never_gain_energy(name, vertex_mode, mass):
+    cfg = replace(
+        load_config(CONFIG_DIR / name), vertex_mode=vertex_mode, mass=mass,
+        dx=0.025, dt=0.02, n_steps=1500, sample_every=1, snapshot_times=(),
+    )
+    energies = [r.energy for r in run(cfg).records]
+    gain = max(energies) / energies[0] - 1.0
+    assert gain <= 10 * cfg.n_steps * np.finfo(float).eps

@@ -139,7 +139,7 @@ def test_bad_float_names_the_field(tmp_path):
 ])
 def test_non_finite_value_names_its_key(tmp_path, section, key, value):
     # a NaN passes every "< 0" test, so unchecked it fails later and names
-    # another cause ("non-finite field value at step 1", "kernel overflows")
+    # another cause ("non-finite field value at step 1")
     parser = configparser.ConfigParser()
     parser.read_string(MINIMAL + "[sweep]\nfrom = 0.5\nto = 1.5\npoints = 3\n"
                        "[sampling]\nsnapshot_times = 0.5\n")
@@ -248,27 +248,35 @@ def test_transparent_vertex_rejects_unread_end_modes():
             replace(cfg, end_modes=tuple(ends)).validate()
 
 
-def test_overflowing_kernel_rejected_by_validate():
-    # m dt n_steps = 720: the kernel weights would leave the float range, so
-    # validate rejects the config before any run builds the kernel
-    named = (
-        r"kernel overflows: mass 6\.0, dt 0\.01 and n_steps 12000 give "
-        r"m\*dt\*n_steps = 720"
-    )
+def test_kernel_past_the_old_overflow_accepted_by_validate():
+    # m dt n_steps = 720, where a modified-Bessel kernel m I1 + i m I0 leaves
+    # the float range; J0 and J1 are bounded, so these configs are valid
     line = replace(
         load_config(CONFIG_DIR / "open_line.cfg"), mass=6.0, n_steps=12000
     )
-    with pytest.raises(ConfigError, match=named):
-        line.validate()
     star = replace(
         load_config(CONFIG_DIR / "transparent_star.cfg"),
         mass=6.0, n_steps=12000, vertex_mode="transparent",
     )
-    with pytest.raises(ConfigError, match=named):
-        star.validate()
-    # without a transparent boundary there is no kernel to overflow
-    replace(line, end_modes=("dirichlet", "dirichlet")).validate()
-    replace(star, vertex_mode="weighted").validate()
+    for cfg in (line, star):
+        cfg.validate()
+        assert np.all(np.isfinite(cfg.build_policy().kernel.conv_weights))
+
+
+def test_non_finite_kernel_argument_exits_2(tmp_path, capsys):
+    # finite mass, dt and n_steps whose product m dt n_steps overflows
+    parser = configparser.ConfigParser()
+    parser.read_string(MINIMAL)
+    parser["graph"]["dx"] = "1e10"
+    for j in (1, 2):
+        parser[f"bond {j}"].update(length="1e12", end_mode="transparent")
+    parser["simulation"].update(mass="1e300", dt="1e10")
+    parser["initial"]["x0"] = "-5e11"
+    path = tmp_path / "test.cfg"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "m*dt*n_steps is not finite: mass 1e+300" in capsys.readouterr().err
 
 
 def test_run_builds_graph_twice(monkeypatch):

@@ -1,17 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from diracstar import bessel_i0
-from diracstar.bessel import _asymptotic
-
-from .oracles import (
-    OracleRun,
-    bessel_series_reference,
-    free_line_solution,
-    gaussian,
-)
+from .oracles import OracleRun, besselj_reference, free_line_solution, gaussian
 
 
 def packet(x0=-5.0, sigma=0.9):
@@ -65,29 +55,8 @@ def test_refinement_below_two_rejected():
         )
 
 
-def test_series_reference_examples():
-    assert bessel_series_reference(0.0).value == 1.0
-
-    ref = bessel_series_reference(1.0, terms=30)
-    assert ref.value == pytest.approx(1.2660658777520084, rel=1e-15)
-    assert ref.bound < 1e-30
-
-    # branch cross-check at the implementation's series/asymptotic switch
-    ref15 = bessel_series_reference(15.0)
-    assert math.isclose(
-        _asymptotic(0, np.array([15.0]))[0], ref15.value, rel_tol=1e-10
-    )
-
-
-def test_series_reference_convergence_guard():
-    with pytest.raises(ValueError, match="not certified"):
-        bessel_series_reference(100.0, terms=10)
-    with pytest.raises(ValueError):
-        bessel_series_reference(-1.0)
-
-
-@pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 5.0, 15.0])
-def test_production_i0_matches_series_reference(z):
-    ref = bessel_series_reference(z)
-    assert math.isclose(bessel_i0(z), ref.value, rel_tol=1e-12)
-    assert ref.bound < 1e-12 * ref.value
+def test_besselj_reference_examples():
+    # J0(0) = 1, J1(0) = 0, and the first zero of J0 (DLMF table 10.21.1)
+    assert besselj_reference(0, [0.0, 1.0]).tolist() == [1.0, 0.7651976865579666]
+    assert besselj_reference(1, 0.0)[0] == 0.0
+    assert abs(besselj_reference(0, 2.404825557695773)[0]) < 1e-15
