@@ -2,14 +2,17 @@
 
 Deliberately self-contained: the free-line solver below re-implements the
 staggered leap-frog scheme on a single interval in plain numpy (no imports
-from the package under test), and the Bessel reference is mpmath's J0 and
-J1 in extended precision.  These provide the ground truths the production
-code is checked against.
+from the package under test), and the Bessel references are mpmath's J0 and
+J1 in extended precision and the ascending series of J0 with a rigorous
+truncation bound.  These provide the ground truths the production code is
+checked against.  The scalar Bessel loop further down is a bit reference,
+not a truth: the kernel samples must equal it byte for byte.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
@@ -148,6 +151,88 @@ def besselj_reference(order: int, z) -> np.ndarray:
     at 40 digits, rounded once to float."""
     with mpmath.workdps(40):
         return np.array([float(mpmath.besselj(order, v)) for v in np.ravel(z)])
+
+
+class BesselSeriesValue(NamedTuple):
+    value: float
+    bound: float
+
+
+def bessel_series_reference(z: float, terms: int = 200) -> BesselSeriesValue:
+    """Extended-precision partial sum of J0 = sum_k (-z^2/4)^k / (k!)^2.
+
+    Returns the sum and a rigorous bound on the neglected tail: past term K
+    the ratio of consecutive terms is below q/(K+1)^2 in size, q = z^2/4, so
+    the tail is dominated by a geometric series once that ratio drops below
+    one.  Raises if the budgeted number of terms cannot certify convergence.
+    """
+    if z < 0:
+        raise ValueError(f"z must be non-negative, got {z}")
+    if terms < 1:
+        raise ValueError("need at least one term")
+    with mpmath.workdps(60):
+        q = mpmath.mpf(z) ** 2 / 4
+        term = mpmath.mpf(1)
+        total = mpmath.mpf(1)
+        for k in range(1, terms):
+            term *= -q / k**2
+            total += term
+        next_term = abs(term) * q / mpmath.mpf(terms) ** 2
+        ratio = q / mpmath.mpf(terms + 1) ** 2
+        if ratio >= 1:
+            raise ValueError(
+                f"series for z = {z} not certified within {terms} terms"
+            )
+        bound = next_term / (1 - ratio)
+        return BesselSeriesValue(float(total), float(bound))
+
+
+def _horner(coefficients, x: float) -> float:
+    # highest power first, as the kernel sums (from 0.0: 0.0 * x + c is c)
+    total = 0.0
+    for c in coefficients:
+        total = total * x + c
+    return total
+
+
+def scalar_bessel_j(order: int, z: float) -> float:
+    """J0 (order 0) or J1 (order 1) at one z >= 0, one Python loop per call.
+
+    The three branches of the kernel's array evaluation (series below 4,
+    16-node midpoint rule below 25, Hankel's expansion beyond), written
+    out for one float with every operation in the same order, so its
+    results are the bits every kernel sample must keep: a sample may not
+    depend on the other arguments it is evaluated with.  Not a check of
+    accuracy (``besselj_reference`` and ``bessel_series_reference`` are).
+    cos and sin are numpy's, the routines the array evaluation calls.
+    """
+    if z < 4.0:
+        facts = [float(math.factorial(k)) for k in range(18)]
+        if order == 0:
+            coefficients = [1.0 / (f * f) for f in facts]
+        else:
+            coefficients = [1.0 / (f * f * (k + 1)) for k, f in enumerate(facts)]
+        value = _horner(coefficients[::-1], -0.25 * z * z)
+        return value if order == 0 else 0.5 * z * value
+    if z < 25.0:
+        total = 0.0
+        for k in range(16):
+            node = float(np.sin((k + 0.5) * (np.pi / 32)))
+            x = z * node
+            total += float(np.cos(x)) if order == 0 else float(np.sin(x)) * node
+        return total / 16
+    # P = sum_k (-1)^k a_2k w^k and Q z = sum_k (-1)^k a_2k+1 w^k, w = 1/z^2,
+    # a_k = prod_{j<=k} (4 order^2 - (2j-1)^2) / (k! 8^k)
+    a = [1.0]
+    for k in range(1, 24):
+        a.append(a[-1] * (4 * order * order - (2 * k - 1) ** 2) / (8.0 * k))
+    signed = [(-1) ** (k // 2) * v for k, v in enumerate(a)]
+    w, amp = 1.0 / (z * z), 1.0 / float(np.sqrt(np.pi * z))
+    c, s = float(np.cos(z)), float(np.sin(z))
+    p, q = _horner(signed[-2::-2], w), _horner(signed[::-2], w) / z
+    if order == 0:
+        return amp * (p * (c + s) - q * (s - c))
+    return amp * (p * (s - c) + q * (c + s))
 
 
 def leapfrog_interior(old_phi, old_chi, new_phi, lam, cp, cm):

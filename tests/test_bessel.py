@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diracstar import BesselKernel
-from diracstar.bessel import _hankel, _quadrature, _series
+from diracstar import BesselKernel, load_config
+from diracstar.bessel import _bessel_j, _hankel, _quadrature, _series
+
+from .conftest import CONFIG_DIR
+from .oracles import scalar_bessel_j
 
 
 def test_branch_agreement_at_cutoff():
@@ -15,6 +18,61 @@ def test_branch_agreement_at_cutoff():
         at = np.array([cutoff])
         for lower, upper in zip(below(at), above(at)):
             assert abs(lower[0] - upper[0]) <= 1e-15
+
+
+def assert_scalar_bits(z, j0, j1):
+    """j0, j1 equal, byte for byte, the scalar loop's J0 and J1 at z."""
+    for order, got in ((0, j0), (1, j1)):
+        expected = np.array([scalar_bessel_j(order, v) for v in z.tolist()])
+        assert got.tobytes() == expected.tobytes(), f"J{order} bits differ"
+
+
+# 15 and 709.78 were the cutoff and the overflow of an earlier I0/I1
+# kernel; the grids stay as spans of z, and the J branch cutoffs 4 and 25
+# have grids of their own
+_RNG = np.random.default_rng(20)
+_Z_GRIDS = {
+    "dense [0, 15]": np.linspace(0.0, 15.0, 6001),
+    "random [0, 15]": _RNG.uniform(0.0, 15.0, 4000),
+    "15.0 and its neighbours": np.array(
+        [np.nextafter(15.0, 0.0), 15.0, np.nextafter(15.0, 16.0)]
+    ),
+    "dense (15, 709.78]": np.linspace(np.nextafter(15.0, 16.0), 709.78, 6001),
+    "random (15, 709.78]": _RNG.uniform(15.0, 709.78, 4000),
+    "zero": np.array([0.0]),
+    "4.0, 25.0 and their neighbours": np.array([
+        np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0),
+        np.nextafter(25.0, 0.0), 25.0, np.nextafter(25.0, 26.0),
+    ]),
+    "random (709.78, 2000]": _RNG.uniform(709.78, 2000.0, 2000),
+}
+
+
+@pytest.mark.parametrize("grid", _Z_GRIDS)
+def test_samples_keep_the_scalar_loops_bits(grid):
+    z = np.sort(_Z_GRIDS[grid])  # the evaluator takes an ascending array
+    assert_scalar_bits(z, *_bessel_j(z))
+
+
+@pytest.mark.parametrize(
+    "mass, dt, n_steps",
+    [
+        *[(c.mass, c.dt, c.n_steps) for c in map(
+            load_config, sorted(CONFIG_DIR.glob("*.cfg"))
+        )],
+        (1.0, 0.1, 7097),  # up to z = 709.7, deep in Hankel's branch
+        (100.0, 0.01, 705),
+        (1.5, 1.0, 10),  # ends at exactly z = 15.0
+        (0.37, 0.029, 1500),  # crosses z = 4 and z = 15 between two samples
+        (1.0, 0.02, 1500),  # z = 4 and z = 25 are samples
+    ],
+)
+def test_kernel_keeps_the_scalar_loops_bits(mass, dt, n_steps):
+    # each sample is a function of its own z: the number of steps, and so
+    # the other samples, change none of its bits
+    kernel = BesselKernel.build(mass, dt, n_steps)
+    z = mass * dt * np.arange(n_steps + 1)
+    assert_scalar_bits(z, kernel.samples, kernel.i1_samples)
 
 
 def test_kernel_invariants():
@@ -27,9 +85,14 @@ def test_kernel_invariants():
 
 
 @given(mass=st.floats(0.0, 5.0), dt=st.floats(1e-3, 0.5))
-def test_kernel_bounded_for_any_mass(mass, dt):
+def test_kernel_monotone_for_any_mass(mass, dt):
     kernel = BesselKernel.build(mass, dt, 50)
     assert kernel.samples[0] == 1.0
+    # J0' = -J1 < 0 up to J1's first zero 3.8317, where J0 has its first
+    # minimum; a sample there needs m dt >= 3.83 / 50, so the last step before
+    # the minimum still falls by ~1e-3, far above the rounding of the series
+    falling = kernel.samples[mass * dt * np.arange(51) <= 3.8317059702075125]
+    assert np.all(np.diff(falling) <= 0)
     assert np.all(np.abs(kernel.samples) <= 1.0)
     assert np.all(np.abs(kernel.i1_samples) <= 1.0)
     # |w| = m sqrt(J0^2 + J1^2) <= m, from J0^2 + 2 sum_k Jk^2 = 1
@@ -61,14 +124,19 @@ def test_kernel_build_validation():
             BesselKernel.build(0.1, bad, 10)
 
 
-def test_non_finite_kernel_argument_rejected():
+def test_kernel_overflow_rejected_before_sampling(monkeypatch):
     # finite inputs whose product overflows: unchecked, the samples would be
     # NaN and the run would fail later as a "non-finite field value"
+    import diracstar.bessel as bessel_module
+
+    calls = []
+    monkeypatch.setattr(bessel_module, "_bessel_j", lambda *a: calls.append(a))
     named = r"m\*dt\*n_steps is not finite: mass 1e\+300, dt 10000000000\.0 and n_steps 10"
     with pytest.raises(ValueError, match=named):
         BesselKernel.build(1e300, 1e10, 10)
     with pytest.raises(ValueError, match="not finite"):
         BesselKernel.build(1e300, 1e10, 0)  # 1e310 * 0 is NaN, not 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("mass, dt, n_steps", [

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from .oracles import OracleRun, besselj_reference, free_line_solution, gaussian
+from diracstar.bessel import _quadrature, _series
+
+from .oracles import (
+    OracleRun,
+    bessel_series_reference,
+    besselj_reference,
+    free_line_solution,
+    gaussian,
+)
 
 
 def packet(x0=-5.0, sigma=0.9):
@@ -60,3 +68,25 @@ def test_besselj_reference_examples():
     assert besselj_reference(0, [0.0, 1.0]).tolist() == [1.0, 0.7651976865579666]
     assert besselj_reference(1, 0.0)[0] == 0.0
     assert abs(besselj_reference(0, 2.404825557695773)[0]) < 1e-15
+
+
+def test_series_reference_examples():
+    assert bessel_series_reference(0.0).value == 1.0
+
+    ref = bessel_series_reference(1.0, terms=30)
+    assert ref.value == pytest.approx(0.7651976865579666, rel=1e-15)
+    assert ref.bound < 1e-30
+    assert ref.value == besselj_reference(0, 1.0)[0]
+
+    # branch cross-check at the evaluator's series/quadrature switch
+    ref4 = bessel_series_reference(4.0)
+    assert ref4.bound < 1e-40
+    for branch in (_series, _quadrature):
+        assert abs(branch(np.array([4.0]))[0][0] - ref4.value) <= 1e-15
+
+
+def test_series_reference_convergence_guard():
+    with pytest.raises(ValueError, match="not certified"):
+        bessel_series_reference(100.0, terms=10)
+    with pytest.raises(ValueError):
+        bessel_series_reference(-1.0)
