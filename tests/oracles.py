@@ -357,3 +357,30 @@ def initial_field_reference(field, params, alphas, vertex_mode, dirichlet_ends,
         if total > 0:
             for arr in field.phi + field.chi:
                 arr *= 1.0 / np.sqrt(total)
+
+
+def run_loop_reference(config, solver, diagnostics):
+    """(records, snapshot arrays, final field) of ``config`` by the plainest
+    loop: ``build_initial_field``, then ``step`` into a new field every
+    step, with every slot stepped.  A bit reference for ``run``, not a
+    truth.  ``solver`` and ``diagnostics`` are the package's modules, so
+    nothing here imports the package.  Each snapshot is the (x, phi, chi,
+    density) of one bond; the records are ``compute_record``'s."""
+    graph, params = config.build_graph(), config.sim_params()
+    policy = config.build_policy()
+    field = solver.build_initial_field(
+        graph, params, policy, x0=config.x0, sigma=config.sigma,
+        bond_index=config.source_bond, amplitude=config.amplitude,
+        normalize=config.normalize_initial,
+    )
+    snap_steps = set(config.snapshot_steps())
+    records, snapshots = [], []
+    for n in range(params.n_steps + 1):
+        if n:
+            field = solver.step(field, graph, params, policy, out=None)
+        if n % config.sample_every == 0 or n == params.n_steps:
+            records.append(diagnostics.compute_record(field, params, n * params.dt))
+        if n in snap_steps:
+            snapshots += [diagnostics.node_profile(field, j + 1, params)
+                          for j in range(field.n_bonds)]
+    return records, snapshots, field

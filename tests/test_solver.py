@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diracstar import diagnostics, solver
 from diracstar import (
     BesselKernel,
     BoundaryPolicy,
@@ -16,7 +17,6 @@ from diracstar import (
     VertexMode,
     build_initial_field,
     build_star_graph,
-    compute_record,
     density_profile,
     energy,
     gaussian_spinor,
@@ -25,14 +25,13 @@ from diracstar import (
     step,
     total_norm,
 )
-from diracstar.diagnostics import node_profile
 from diracstar.config import ExperimentConfig
 from diracstar.solver import (
     OVERFLOW_FACTOR, _check_stability, _divide, _divisor, check_packet,
 )
 
 from .conftest import CANONICAL_ALPHAS, CONFIG_DIR
-from .oracles import gaussian
+from .oracles import gaussian, run_loop_reference
 
 
 def line_graph(length=20.0, dx=0.0125):
@@ -552,8 +551,6 @@ def test_transparent_vertex_rejects_full_graph_field():
 def test_transparent_vertex_factor_taken_once_per_weight_set(monkeypatch):
     # the factor's Python loop over the weights runs once per run, when
     # build_initial_field plans the run, not every step
-    from diracstar import solver
-
     calls = []
     original = solver.vertex_tbc_factor
     monkeypatch.setattr(
@@ -570,8 +567,6 @@ def test_transparent_vertex_factor_taken_once_per_weight_set(monkeypatch):
 
 def test_run_builds_one_step_plan(canonical_config, monkeypatch):
     # build_initial_field plans the run, and every step reuses that plan
-    from diracstar import solver
-
     plans = []
 
     class Counted(solver._StepPlan):
@@ -723,45 +718,77 @@ def test_stencil_division_is_numpys_bit_for_bit(m_dt):
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("name", ["transparent_star.cfg", "open_line.cfg"])
-def test_run_on_two_fields_matches_a_loop_of_new_fields(name):
-    # run steps into the field two levels back; its records, snapshots and
-    # final field are those of stepping into a new field every step, and
-    # a snapshot keeps the values of its step after the buffers moved on
-    config = load_config(CONFIG_DIR / name)
-    config = replace(config, n_steps=300, snapshot_times=(0.0, 0.5, 2.0, 3.0))
+def assert_run_matches_the_loop(config):
+    # run's records, snapshots, final buffers and histories have the bytes
+    # of the plain loop that steps every slot into a new field every step
     result = run(config)
-
-    graph, params = config.build_graph(), config.sim_params()
-    policy = config.build_policy()
-    field = build_initial_field(
-        graph, params, policy, x0=config.x0, sigma=config.sigma,
-        bond_index=config.source_bond, amplitude=config.amplitude,
-        normalize=config.normalize_initial,
-    )
-    records, snapshots = [], []
-    for n in range(params.n_steps + 1):
-        if n:
-            field = step(field, graph, params, policy)
-        if n % config.sample_every == 0 or n == params.n_steps:
-            records.append(compute_record(field, params, n * params.dt))
-        if n in config.snapshot_steps():
-            snapshots += [node_profile(field, j + 1, params)
-                          for j in range(field.n_bonds)]
+    records, snapshots, field = run_loop_reference(config, solver, diagnostics)
 
     def as_bytes(values):
         return np.concatenate([np.ravel(v) for v in values]).tobytes()
 
-    assert len(result.records) == len(records) == 1 + 300 // config.sample_every
+    assert len(result.records) == len(records)
     for got, want in zip(result.records, records):
         assert as_bytes(astuple(got)) == as_bytes(astuple(want))
-    assert len(result.snapshots) == len(snapshots) == 4 * field.n_bonds
+    assert len(result.snapshots) == len(snapshots)
     for got, want in zip(result.snapshots, snapshots):
         assert as_bytes((got.x, got.phi, got.chi, got.density)) == as_bytes(want)
     final = result.field
     assert final.phi_buf.tobytes() == field.phi_buf.tobytes()
     assert final.chi_buf.tobytes() == field.chi_buf.tobytes()
-    assert final.time_level == field.time_level == 300
+    assert final.time_level == field.time_level == config.n_steps
     assert sorted(final.histories) == sorted(field.histories)
     for key, h in field.histories.items():
         assert final.histories[key][:].tobytes() == h[:].tobytes()
+    return result
+
+
+@pytest.mark.parametrize("name", ["transparent_star.cfg", "open_line.cfg"])
+def test_run_on_two_fields_matches_a_loop_of_new_fields(name):
+    # run steps into the field two levels back, and a snapshot keeps the
+    # values of its step after the buffers moved on
+    config = load_config(CONFIG_DIR / name)
+    config = replace(config, n_steps=300, snapshot_times=(0.0, 0.5, 2.0, 3.0))
+    result = assert_run_matches_the_loop(config)
+    assert len(result.records) == 1 + 300 // config.sample_every
+    assert len(result.snapshots) == 4 * result.field.n_bonds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_run_matches_the_loop_on_random_stars(data):
+    # short bonds, every vertex mode, walls and transparent ends (the last
+    # bond's far end too), any source bond, signed-zero and negative
+    # amplitudes, with and without snapshots
+    n = data.draw(st.integers(2, 5), label="bonds")
+    dx = 0.0625
+    cells = data.draw(st.lists(st.integers(4, 160), min_size=n, max_size=n))
+    vertex = data.draw(st.sampled_from(["kirchhoff", "weighted", "transparent"]))
+    ends = data.draw(st.lists(st.sampled_from(["dirichlet", "transparent"]),
+                              min_size=n, max_size=n))
+    if vertex == "transparent":  # bonds 2..N are not simulated
+        ends[1:] = ["dirichlet"] * (n - 1)
+    source = 1 if vertex == "transparent" else data.draw(st.integers(1, n))
+    length = cells[source - 1] * dx
+    x0 = data.draw(st.floats(0.0, 1.0)) * length - (length if source == 1 else 0.0)
+    dt = data.draw(st.sampled_from([0.3, 0.8, 1.0])) * dx
+    n_steps = data.draw(st.integers(0, 90), label="steps")
+    snaps = data.draw(st.lists(st.integers(0, n_steps), max_size=3, unique=True))
+    config = ExperimentConfig(
+        alphas=tuple(data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))),
+        lengths=tuple(c * dx for c in cells),
+        dx=dx,
+        mass=data.draw(st.sampled_from([0.0, 0.3, 5.0])),
+        dt=dt,
+        n_steps=n_steps,
+        x0=x0,
+        sigma=data.draw(st.sampled_from([0.2, 0.5])),
+        source_bond=source,
+        amplitude=data.draw(st.sampled_from([1.0, -0.0, -1.5])),
+        normalize_initial=data.draw(st.booleans()),
+        vertex_mode=vertex,
+        end_modes=tuple(ends),
+        sample_every=data.draw(st.integers(1, 20)),
+        snapshot_times=tuple(k * dt for k in snaps),
+    )
+    assert_run_matches_the_loop(config)
