@@ -68,6 +68,9 @@ __all__ = [
 # the guard trips when a value exceeds this multiple of the initial maximum
 OVERFLOW_FACTOR = 1e6
 
+# a run's stencils cover a window of a multiple of this many slots
+_CHUNK = 64
+
 
 class InstabilityError(RuntimeError):
     """Field values exceeded the overflow guard or became non-finite."""
@@ -136,15 +139,25 @@ class SpinorField:
         raw = np.zeros(3 * 16 * row + 64, np.uint8)
         start = -raw.ctypes.data % 64
         arena = raw[start:start + 3 * 16 * row].view(complex).reshape(3, row)
-        phi_buf, chi_buf, d = arena[0, :n], arena[1, :n], arena[2, :n - 1]
+        phi_buf, chi_buf = arena[0, :n], arena[1, :n]
         self._arena, self._state = arena, arena[:2].reshape(-1)
         self.phi_buf, self.chi_buf = phi_buf, chi_buf
         self.phi = tuple(phi_buf[p] for p, _ in self._cuts)
         self.chi = tuple(chi_buf[c] for _, c in self._cuts)
-        # stencil operands: inner nodes, cells but the last pad, the values
-        # they difference, and scratch for both stencils
-        self._operands = (phi_buf[1:-1], chi_buf[:-1], chi_buf[1:-1], chi_buf[:-2],
-                          phi_buf[1:], phi_buf[:-1], d, d[:-1])
+        # a window [0, hi) outside which every slot is +0, which only run
+        # sets; None steps every slot
+        self._hi, self._last = None, (0, ())
+
+    def _window(self, w: int) -> tuple:
+        """The stencil operands of slots [0, w), kept for the last w asked:
+        inner nodes, cells but the last, the values they difference,
+        scratch for both stencils, and float views of the two outputs."""
+        if self._last[0] != w:
+            phi, chi, d = self.phi_buf[:w], self.chi_buf[:w], self._arena[2, :w - 1]
+            inner, cells = phi[1:-1], chi[:-1]
+            self._last = w, (inner, cells, chi[1:-1], chi[:-2], phi[1:], phi[:-1],
+                             d, d[:-1], inner.view(float), cells.view(float))
+        return self._last[1]
 
     @property
     def n_bonds(self) -> int:
@@ -351,24 +364,26 @@ def _divisor(den: complex) -> tuple[complex, float | None]:
     return complex(1.0, -rat), 1.0 / (den.real + den.imag * rat)
 
 
-def _divide(out: np.ndarray, divisor: tuple[complex, float | None]) -> None:
-    """out /= den with np.divide's bits, given ``divisor = _divisor(den)``."""
+def _divide(out: np.ndarray, flat: np.ndarray,
+            divisor: tuple[complex, float | None]) -> None:
+    """out /= den with np.divide's bits, given ``flat = out.view(float)``
+    and ``divisor = _divisor(den)``."""
     w, scl = divisor
     if scl is None:
         np.divide(out, w, out=out)
     else:
         np.multiply(w, out, out=out)  # w first: out * w rounds differently
-        np.multiply(out.view(float), scl, out=out.view(float))
+        np.multiply(flat, scl, out=flat)
 
 
-def _stencil(out, num, old, lam, hi, lo, divisor, diff) -> None:
+def _stencil(out, flat, num, old, lam, hi, lo, divisor, diff) -> None:
     """out = (num * old - lam * (hi - lo)) / den, op by op, with
-    ``divisor = _divisor(den)``."""
+    ``flat = out.view(float)`` and ``divisor = _divisor(den)``."""
     np.subtract(hi, lo, out=diff)
     np.multiply(lam, diff, out=diff)
     np.multiply(num, old, out=out)
     np.subtract(out, diff, out=out)
-    _divide(out, divisor)
+    _divide(out, flat, divisor)
 
 
 class _StepPlan:
@@ -377,7 +392,8 @@ class _StepPlan:
     offsets into the buffers of the field's layout.  The vertex nodes, the
     cells beside them, the weights and W (None for a transparent vertex);
     per transparent boundary, vertex first, (history key, node, adjacent cell,
-    right end, factor A, coefficients); the Dirichlet end nodes; the pads.
+    right end, factor A, coefficients); the Dirichlet end nodes; the pads;
+    ``reach``, 1 + the largest vertex or transparent node.
     Raises ValueError unless the policy fits the graph, its kernel the
     params' mass and dt, and the field the simulated bonds."""
 
@@ -411,7 +427,7 @@ class _StepPlan:
         cells = [nodes[0] - 1, *nodes[1:]]
         self.vertex = None if interior_only else (nodes, cells, list(alphas), w_all)
         ends = [("vertex", nodes[0], cells[0], True, factor)] if interior_only else []
-        self.walls, self.pads, starts = [], np.array(pads), [0, *nodes[1:]]
+        self.walls, self.pads, starts = [], pads, [0, *nodes[1:]]
         for bond, mode, start, stop in zip(field.bonds, policy.end_modes, starts, pads):
             right_end = bond.orientation is Orientation.OUTGOING
             node, cell = (stop, stop - 1) if right_end else (start, start)
@@ -422,6 +438,8 @@ class _StepPlan:
         self.transparent = [
             (*e, _tbc_coefficients(policy.kernel, params, e[4])) for e in ends
         ]
+        junctions = [*(self.vertex[0] if self.vertex else ()), *(e[1] for e in ends)]
+        self.reach = 1 + max(junctions, default=-1)
 
 
 def step(
@@ -438,14 +456,18 @@ def step(
     takes the next time level, the histories and the initial maximum.
     ``field`` is never written to.  All phi nodes are updated first
     (interior stencil, then vertex and end conditions), then every chi cell
-    from the new phi.  The constants of ``graph``, ``params`` and ``policy``
+    from the new phi.  Inside ``run`` the stencils cover only a window of
+    the slots the packet can have reached, one slot wider each step: beyond
+    it both fields hold +0, which is what a full stencil makes of +0 inputs
+    (at m = 0 too), so the bits are those of a full step.  A field that
+    ``run`` does not step steps every slot.  The constants of ``graph``, ``params`` and ``policy``
     are planned once per run (by ``build_initial_field``, else by the first
     step) and handed on with the new field, so none of the three may change
     during a run.  Transparent boundaries append to the field's history
     buffers, which the new field takes over.
     Raises ValueError for an older field of the run, for a policy that
     does not fit the graph or whose kernel does not fit the params, and for
-    an ``out`` that is ``field``, shares memory with it or has another layout;
+    an ``out`` that is ``field``, shares its arena or has another layout;
     InstabilityError when a value exceeds the overflow guard or is not finite.
     """
     plan = field._plan
@@ -459,18 +481,23 @@ def step(
         raise ValueError("out is the field being stepped; pass another field")
     elif out.bonds != field.bonds:
         raise ValueError("out has another bond layout than the field being stepped")
-    elif np.may_share_memory(out._arena, field._arena):
+    elif out._arena is field._arena:  # a shallow copy; the constructor's are new
         raise ValueError("out shares memory with the field being stepped")
     level = field.time_level
     out.time_level, out.histories, out._plan = level + 1, field.histories, plan
     out.initial_max = field.initial_max
 
-    # one stencil per component over all bonds; the vertex and end updates
-    # and the pad reset overwrite the throwaway values beside each junction
-    new_phi = out.phi_buf
-    old_inner, old_cells, chi_hi, chi_lo, _, _, _, _ = field._operands
-    new_inner, new_cells, _, _, phi_hi, phi_lo, d, d_in = out._operands
-    _stencil(new_inner, plan.cm, old_inner, plan.lam, chi_hi, chi_lo, plan.by_cp, d_in)
+    # one stencil per component over all bonds, or over the window of a
+    # run; the vertex and end updates and the pad reset overwrite the
+    # throwaway values beside each junction
+    hi, n = field._hi, len(phi)
+    w = n if hi is None else min(n, -(-(hi + 2) // _CHUNK) * _CHUNK)
+    out._hi = None if hi is None else hi + 1
+    new_phi, new_chi = out.phi_buf, out.chi_buf
+    old_inner, old_cells, chi_hi, chi_lo, *_ = field._window(w)
+    new_inner, new_cells, _, _, phi_hi, phi_lo, d, d_in, inner_f, cells_f = out._window(w)
+    _stencil(new_inner, inner_f, plan.cm, old_inner, plan.lam, chi_hi, chi_lo,
+             plan.by_cp, d_in)
 
     if plan.vertex is not None:
         nodes, cells, alphas, w_all = plan.vertex
@@ -499,8 +526,10 @@ def step(
     for node in plan.walls:
         new_phi[node] = 0.0
 
-    _stencil(new_cells, plan.cp, old_cells, plan.lam, phi_hi, phi_lo, plan.by_cm, d)
-    out.chi_buf[plan.pads] = 0.0
+    _stencil(new_cells, cells_f, plan.cp, old_cells, plan.lam, phi_hi, phi_lo,
+             plan.by_cm, d)
+    for k in plan.pads:
+        new_chi[k] = 0.0
     _check_stability(out, params)
     return out
 
@@ -583,7 +612,10 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
     nearest to the configured times and labelled with the sampled time
     n dt.  ``policy`` defaults to ``config.build_policy()``; runs with the
     same boundary modes, mass, dt and n_steps may share one.  Each step
-    writes into the field two levels back; step instability propagates.
+    writes into the field two levels back, over the window of slots that
+    the packet can have reached (see ``step``): the source bond and the
+    vertex and transparent nodes, one slot wider each step.  The returned
+    field has no window.  Step instability propagates.
     """
     from .diagnostics import compute_record, node_profile
 
@@ -617,10 +649,12 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
                     Snapshot(bond.index, n * params.dt, x, phi, chi, dens)
                 )
 
+    # only the packet's bond and the junctions hold values that are not +0
+    field._hi = max(field._cuts[config.source_bond - 1][0].stop, field._plan.reach)
     observe(0)
     spare = None
     for n in range(1, params.n_steps + 1):
         field, spare = step(field, graph, params, policy, out=spare), field
         observe(n)
-
+    field._hi = None  # a caller may write anywhere into the field it gets
     return RunResult(records, snapshots, graph, field)

@@ -141,8 +141,7 @@ def test_packing_probe_rejects_a_view_outside_its_buffer():
 def assert_aligned(field):
     """phi, chi and the stencil scratch start on 64-byte boundaries, and the
     arena slots after the phi and chi buffers are +0."""
-    scratch = field._operands[6]
-    for buf in (field.phi_buf, field.chi_buf, scratch):
+    for buf in (field.phi_buf, field.chi_buf, field._arena[2]):
         assert buf.ctypes.data % 64 == 0
     assert field._arena[:2, len(field.phi_buf):].tobytes() == bytes(
         32 * (field._arena.shape[1] - len(field.phi_buf))
