@@ -425,7 +425,10 @@ class _StepPlan:
         pads = [k - 1 for k in accumulate(b.cells + 1 for b in field.bonds)]
         nodes = [pads[0], *(k + 1 for k in pads[:-1])]
         cells = [nodes[0] - 1, *nodes[1:]]
-        self.vertex = None if interior_only else (nodes, cells, list(alphas), w_all)
+        # Python floats: numpy divides a complex scalar by one with the bits
+        # it gives for an np.float64, in less than half the time
+        self.vertex = None if interior_only else (nodes, cells, alphas.tolist(),
+                                                  float(w_all))
         ends = [("vertex", nodes[0], cells[0], True, factor)] if interior_only else []
         self.walls, self.pads, starts = [], pads, [0, *nodes[1:]]
         for bond, mode, start, stop in zip(field.bonds, policy.end_modes, starts, pads):
