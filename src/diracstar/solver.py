@@ -463,10 +463,10 @@ def step(
     the slots the packet can have reached, one slot wider each step: beyond
     it both fields hold +0, which is what a full stencil makes of +0 inputs
     (at m = 0 too), so the bits are those of a full step.  A field that
-    ``run`` does not step steps every slot.  The constants of ``graph``, ``params`` and ``policy``
-    are planned once per run (by ``build_initial_field``, else by the first
-    step) and handed on with the new field, so none of the three may change
-    during a run.  Transparent boundaries append to the field's history
+    ``run`` does not step steps every slot.  The constants of ``graph``,
+    ``params`` and ``policy`` are planned once per run (by
+    ``build_initial_field``, else by the first step) and handed on with the
+    new field, so none of the three may change during a run.  Transparent boundaries append to the field's history
     buffers, which the new field takes over.
     Raises ValueError for an older field of the run, for a policy that
     does not fit the graph or whose kernel does not fit the params, and for
@@ -490,8 +490,9 @@ def step(
     out.time_level, out.histories, out._plan = level + 1, field.histories, plan
     out.initial_max = field.initial_max
 
-    # one stencil per component over all bonds, or over the window of a
-    # run; the vertex and end updates and the pad reset overwrite the
+    # one stencil per component over all bonds, or in a run over [0, w):
+    # the new values reach at most slot hi, and the stencils write slots up
+    # to w - 2; the vertex and end updates and the pad reset overwrite the
     # throwaway values beside each junction
     hi, n = field._hi, len(phi)
     w = n if hi is None else min(n, -(-(hi + 2) // _CHUNK) * _CHUNK)
