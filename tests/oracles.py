@@ -248,6 +248,36 @@ def leapfrog_interior(old_phi, old_chi, new_phi, lam, cp, cm):
     return phi, chi
 
 
+def inverse_closed_step(phi, chi, weights, lam, cp, cm) -> None:
+    """Undo one step of a closed star in place: Dirichlet far ends and a
+    vertex that keeps a_j phi_j(0) on one shared value, with ``weights``
+    the a_j (all 1 for a Kirchhoff vertex).  ``phi`` and ``chi`` are the
+    per-bond arrays; bond 1 ends at the vertex, the others start there.
+
+    The forward step solves cp x_new = cm x_old - lam D y for phi from the
+    older chi and then for chi from the newer phi, so the inverse runs
+    backwards: chi first, from the newer chi and phi, then phi and the
+    vertex from the older chi, whose flux the forward vertex update used.
+    """
+    for p, c in zip(phi, chi):
+        c[:] = (cm * c + lam * (p[1:] - p[:-1])) / cp
+    for p, c in zip(phi, chi):
+        p[1:-1] = (cp * p[1:-1] + lam * (c[1:] - c[:-1])) / cm
+    a = np.asarray(weights, float)
+    w_all = np.sum(1.0 / a ** 2)
+    values = [phi[0][-1], *(p[0] for p in phi[1:])]
+    cells = [chi[0][-1], *(c[0] for c in chi[1:])]
+    shared = sum(v / aj for v, aj in zip(values, a)) / w_all
+    flux = cells[0] / a[0] - sum(c / aj for c, aj in zip(cells[1:], a[1:]))
+    shared = (cp * shared - 2.0 * lam * flux / w_all) / cm
+    phi[0][-1] = shared / a[0]
+    for p, aj in zip(phi[1:], a[1:]):
+        p[0] = shared / aj
+    phi[0][0] = 0.0
+    for p in phi[1:]:
+        p[-1] = 0.0
+
+
 def trapezoid_convolution(values, conv_weights, dt: float, level: int) -> complex:
     """dt (g_level h_0 / 2 + sum_{k=1}^{level-1} g_{level-k} h_k), the half
     weight put on a copy of the kernel side; ``values`` are the boundary
