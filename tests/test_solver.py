@@ -12,6 +12,7 @@ from diracstar import (
     BoundaryPolicy,
     EndMode,
     InstabilityError,
+    MissingHistoryError,
     SimParams,
     SpinorField,
     VertexMode,
@@ -622,6 +623,48 @@ def test_one_policy_serves_interleaved_runs():
             assert sorted(joint.histories) == sorted(alone.histories)
             for key, h in joint.histories.items():
                 assert np.array_equal(h[:], alone.histories[key][:])
+
+
+def field_state(field):
+    """What a step may change: both buffers, the time level, the histories."""
+    return (field.phi_buf.tobytes(), field.chi_buf.tobytes(), field.time_level,
+            {key: h[:].tobytes() for key, h in field.histories.items()})
+
+
+@pytest.mark.parametrize("cause", ["policy", "kernel", "level", "missing"])
+@pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
+def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
+    # every check comes before the first write: a policy that does not fit
+    # the graph, a kernel that does not fit the params, a history at
+    # another level (a shallow copy, whose histories its original stepped
+    # on) and a level past the kernel, on runs with two transparent
+    # boundaries whose histories hold 5 entries
+    params, runs = open_runs()
+    graph, make_policy = runs[run_index]
+    policy = make_policy()
+    if cause == "missing":  # the kernel covers levels 0..5
+        policy = BoundaryPolicy(policy.vertex_mode, policy.end_modes,
+                                BesselKernel.build(params.mass, params.dt, 5))
+    field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+    for _ in range(5):
+        field = step(field, graph, params, policy)
+    if cause == "level":
+        field, newer = copy.copy(field), field
+        step(newer, graph, params, policy)
+    args, error = {
+        "policy": ((graph, params, BoundaryPolicy(
+            policy.vertex_mode, policy.end_modes[:-1], policy.kernel)), ValueError),
+        "kernel": ((graph, replace(params, dt=0.5 * params.dt), policy), ValueError),
+        "level": ((graph, params, policy), ValueError),
+        "missing": ((graph, params, policy), MissingHistoryError),
+    }[cause]
+    if cause == "missing":
+        field = step(field, *args)  # level 5, the kernel's last
+    before = field_state(field)
+    assert len(before[3]) == 2 and all(before[3].values())
+    with pytest.raises(error):
+        step(field, *args)
+    assert field_state(field) == before
 
 
 def test_stepping_a_field_twice_is_rejected():
