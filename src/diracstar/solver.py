@@ -125,8 +125,8 @@ class SpinorField:
     at t = n dt.  ``bonds`` is the simulated domain: all graph bonds, or
     just bond 1 for a transparent-vertex interior run.  ``histories`` maps
     each transparent boundary ('vertex', 'end<j>') to its past boundary
-    values, one per time level; ``step`` hands these on to the new field,
-    so only the newest field of a run can be stepped.
+    values, one per time level.  ``step`` advances the field in place and
+    appends to them; ``copy`` keeps a level, with histories of its own.
     """
 
     def __init__(self, bonds: tuple[Bond, ...]) -> None:
@@ -216,7 +216,7 @@ def gaussian_spinor(x0: float, sigma: float, bond: Bond) -> tuple[np.ndarray, np
 
 
 def _vertex_shared_value(
-    values: np.ndarray, alphas: np.ndarray, w_all: np.float64
+    values: list[complex], alphas: list[float], w_all: float
 ) -> complex:
     # least-squares projection of the stored vertex values phi_j(0) on the chain
     total = values[0] / alphas[0]
@@ -240,7 +240,7 @@ def build_initial_field(
     chi keeps its t = 0 samples; phi is pulled back to t = -dt/2 with a
     Taylor half step (using the staggered derivative of chi), which keeps
     the scheme second order in time.  The run's step plan, which the field
-    hands on to its first step, then sets the end and vertex nodes.  The
+    keeps for its steps, then sets the end and vertex nodes.  The
     state is optionally rescaled to unit total norm.
     """
     source = check_source(graph, policy.vertex_mode, bond_index)
@@ -450,58 +450,44 @@ def step(
     graph: StarGraph,
     params: SimParams,
     policy: BoundaryPolicy,
-    out: SpinorField | None = None,
 ) -> SpinorField:
-    """Advance the field one time step into ``out``, or a new field.
+    """Advance ``field`` one time step in place and return it.
 
-    ``out`` is a field of the same layout that the caller is done with,
-    e.g. the one two levels back; all its values are overwritten, and it
-    takes the next time level, the histories and the initial maximum.
-    ``field`` is never written to.  All phi nodes are updated first
-    (interior stencil, then vertex and end conditions), then every chi cell
-    from the new phi.  Inside ``run`` the stencils cover only a window of
-    the slots the packet can have reached, one slot wider each step: beyond
-    it both fields hold +0, which is what a full stencil makes of +0 inputs
-    (at m = 0 too), so the bits are those of a full step.  A field that
-    ``run`` does not step steps every slot.  The constants of ``graph``,
+    Every check comes first: the step plan, and the level of each boundary
+    history.  Then the vertex's new shared value and each transparent
+    node's new value, with its history entry, are computed from the old
+    level.  The phi stencil then overwrites the inner nodes, the vertex,
+    transparent and wall nodes are written, and the chi stencil overwrites
+    the cells from the new phi.  A stencil reads each slot's old value
+    where it writes the new one, so the bits are those of a step into
+    another field.  Inside ``run`` the stencils cover only a window of the
+    slots the packet can have reached, one slot wider each step: beyond it
+    the field holds +0, which is what a full stencil makes of +0 inputs (at
+    m = 0 too), so the bits are those of a full step.  A field that ``run``
+    does not step steps every slot.  The constants of ``graph``,
     ``params`` and ``policy`` are planned once per run (by
-    ``build_initial_field``, else by the first step) and handed on with the
-    new field, so none of the three may change during a run.  Transparent boundaries append to the field's history
-    buffers, which the new field takes over.
-    Raises ValueError for an older field of the run, for a policy that
-    does not fit the graph or whose kernel does not fit the params, and for
-    an ``out`` that is ``field``, shares its arena or has another layout;
-    InstabilityError when a value exceeds the overflow guard or is not finite.
+    ``build_initial_field``, else by the first step) and kept on the field,
+    so none of the three may change during a run.
+    Raises ValueError for a field whose histories are at another level
+    (e.g. a shallow copy of a field that stepped on), for a policy that
+    does not fit the graph or whose kernel does not fit the params, and
+    MissingHistoryError past the kernel; each leaves the field as it was.
+    InstabilityError, when a value exceeds the overflow guard or is not
+    finite, leaves the field at the new level, which its message names.
     """
     plan = field._plan
     if not (plan and plan.graph is graph and plan.params is params
             and plan.policy is policy):
         plan = _StepPlan(field, graph, params, policy)
     phi, chi = field.phi_buf, field.chi_buf
-    if out is None:
-        out = SpinorField(field.bonds)
-    elif out is field:
-        raise ValueError("out is the field being stepped; pass another field")
-    elif out.bonds != field.bonds:
-        raise ValueError("out has another bond layout than the field being stepped")
-    elif out._arena is field._arena:  # a shallow copy; the constructor's are new
-        raise ValueError("out shares memory with the field being stepped")
     level = field.time_level
-    out.time_level, out.histories, out._plan = level + 1, field.histories, plan
-    out.initial_max = field.initial_max
-
-    # one stencil per component over all bonds, or in a run over [0, w):
-    # the new values reach at most slot hi, and the stencils write slots up
-    # to w - 2; the vertex and end updates and the pad reset overwrite the
-    # throwaway values beside each junction
-    hi, n = field._hi, len(phi)
-    w = n if hi is None else min(n, -(-(hi + 2) // _CHUNK) * _CHUNK)
-    out._hi = None if hi is None else hi + 1
-    new_phi, new_chi = out.phi_buf, out.chi_buf
-    old_inner, old_cells, chi_hi, chi_lo, *_ = field._window(w)
-    new_inner, new_cells, _, _, phi_hi, phi_lo, d, d_in, inner_f, cells_f = out._window(w)
-    _stencil(new_inner, inner_f, plan.cm, old_inner, plan.lam, chi_hi, chi_lo,
-             plan.by_cp, d_in)
+    for key, *_ in plan.transparent:
+        if (size := len(field.histories.get(key, ()))) != level:
+            raise ValueError(
+                f"history '{key}' has {size} entries at time level {level}: "
+                "step only the newest level of a run, with the boundary "
+                "modes it started with"
+            )
 
     if plan.vertex is not None:
         nodes, cells, alphas, w_all = plan.vertex
@@ -510,32 +496,40 @@ def step(
         for j in range(1, len(cells)):
             flux -= chi[cells[j]] / alphas[j]
         shared_new = (plan.cm * shared_old + plan.two_lam * flux / w_all) / plan.cp
-        for k, a in zip(nodes, alphas):
-            new_phi[k] = shared_new / a
+    ends = []
     for key, node, cell, right_end, factor, coefficients in plan.transparent:
         # made on the first step, with room for every level the kernel covers
         history = field.histories.get(key)
         if history is None:
             history = field.histories[key] = _History(len(policy.kernel.reversed_weights))
-        if len(history) != level:
-            raise ValueError(
-                f"history '{key}' has {len(history)} entries at time level "
-                f"{level}: step only the newest field of a run, with "
-                "the boundary modes it started with"
-            )
-        new_phi[node] = _solve_tbc_node(
+        ends.append((node, _solve_tbc_node(
             phi[node], chi[cell], history, policy.kernel, level,
             plan.two_lam, coefficients, right_end, factor,
-        )
-    for node in plan.walls:
-        new_phi[node] = 0.0
+        )))
 
-    _stencil(new_cells, cells_f, plan.cp, old_cells, plan.lam, phi_hi, phi_lo,
-             plan.by_cm, d)
+    # one stencil per component over all bonds, or in a run over [0, w):
+    # the new values reach at most slot hi, and the stencils write slots up
+    # to w - 2; the vertex and end updates and the pad reset overwrite the
+    # throwaway values beside each junction
+    hi, n = field._hi, len(phi)
+    w = n if hi is None else min(n, -(-(hi + 2) // _CHUNK) * _CHUNK)
+    inner, cells_w, chi_hi, chi_lo, phi_hi, phi_lo, d, d_in, inner_f, cells_f = (
+        field._window(w))
+    _stencil(inner, inner_f, plan.cm, inner, plan.lam, chi_hi, chi_lo, plan.by_cp, d_in)
+    if plan.vertex is not None:
+        for k, a in zip(nodes, alphas):
+            phi[k] = shared_new / a
+    for node, value in ends:
+        phi[node] = value
+    for node in plan.walls:
+        phi[node] = 0.0
+    _stencil(cells_w, cells_f, plan.cp, cells_w, plan.lam, phi_hi, phi_lo, plan.by_cm, d)
     for k in plan.pads:
-        new_chi[k] = 0.0
-    _check_stability(out, params)
-    return out
+        chi[k] = 0.0
+    field.time_level, field._plan = level + 1, plan
+    field._hi = None if hi is None else hi + 1
+    _check_stability(field, params)
+    return field
 
 
 def _check_stability(field: SpinorField, params: SimParams) -> None:
@@ -615,11 +609,11 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
     at the final step; node-resolved snapshots are taken at the steps
     nearest to the configured times and labelled with the sampled time
     n dt.  ``policy`` defaults to ``config.build_policy()``; runs with the
-    same boundary modes, mass, dt and n_steps may share one.  Each step
-    writes into the field two levels back, over the window of slots that
-    the packet can have reached (see ``step``): the source bond and the
-    vertex and transparent nodes, one slot wider each step.  The returned
-    field has no window.  Step instability propagates.
+    same boundary modes, mass, dt and n_steps may share one.  The run
+    steps one field in place, over the window of slots that the packet can
+    have reached (see ``step``): the source bond and the vertex and
+    transparent nodes, one slot wider each step.  The returned field has no
+    window.  Step instability propagates.
     """
     from .diagnostics import compute_record, node_profile
 
@@ -656,9 +650,8 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
     # only the packet's bond and the junctions hold values that are not +0
     field._hi = max(field._cuts[config.source_bond - 1][0].stop, field._plan.reach)
     observe(0)
-    spare = None
     for n in range(1, params.n_steps + 1):
-        field, spare = step(field, graph, params, policy, out=spare), field
+        step(field, graph, params, policy)
         observe(n)
     field._hi = None  # a caller may write anywhere into the field it gets
     return RunResult(records, snapshots, graph, field)

@@ -391,8 +391,8 @@ def initial_field_reference(field, params, alphas, vertex_mode, dirichlet_ends,
 
 def run_loop_reference(config, solver, diagnostics):
     """(records, snapshot arrays, final field) of ``config`` by the plainest
-    loop: ``build_initial_field``, then ``step`` into a new field every
-    step, with every slot stepped.  A bit reference for ``run``, not a
+    loop: ``build_initial_field``, then ``step`` in place every step, with
+    every slot stepped (no window).  A bit reference for ``run``, not a
     truth.  ``solver`` and ``diagnostics`` are the package's modules, so
     nothing here imports the package.  Each snapshot is the (x, phi, chi,
     density) of one bond; the records are ``compute_record``'s."""
@@ -407,7 +407,7 @@ def run_loop_reference(config, solver, diagnostics):
     records, snapshots = [], []
     for n in range(params.n_steps + 1):
         if n:
-            field = solver.step(field, graph, params, policy, out=None)
+            solver.step(field, graph, params, policy)
         if n % config.sample_every == 0 or n == params.n_steps:
             records.append(diagnostics.compute_record(field, params, n * params.dt))
         if n in snap_steps:

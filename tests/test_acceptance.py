@@ -223,9 +223,9 @@ TBC_CASES = [("ends", m, 30.0) for m in (0.1, 0.3, 1.0)] + [
 def _density_samples(graph, params, policy):
     """Per-bond (x, density) once per unit of time."""
     field = build_initial_field(graph, params, policy, x0=-0.5 * TBC_HALF, sigma=0.9)
-    every, spare, samples = round(1.0 / params.dt), None, []
+    every, samples = round(1.0 / params.dt), []
     for n in range(1, params.n_steps + 1):
-        field, spare = step(field, graph, params, policy, out=spare), field
+        step(field, graph, params, policy)
         if n % every == 0:
             samples.append([density_profile(field, j, params)
                             for j in range(1, field.n_bonds + 1)])
