@@ -12,10 +12,8 @@ from .diagnostics import (
     DiagnosticsRecord,
     boundary_form,
     compute_record,
-    density_profile,
     energy,
     partial_norm,
-    reflection_coefficient,
     total_norm,
     transmitted_fractions,
 )
@@ -50,12 +48,10 @@ __all__ = [
     "build_initial_field",
     "build_star_graph",
     "compute_record",
-    "density_profile",
     "energy",
     "gaussian_spinor",
     "load_config",
     "partial_norm",
-    "reflection_coefficient",
     "run",
     "run_experiment",
     "step",

@@ -23,11 +23,9 @@ __all__ = [
     "DiagnosticsRecord",
     "partial_norm",
     "total_norm",
-    "reflection_coefficient",
     "transmitted_fractions",
     "energy",
     "boundary_form",
-    "density_profile",
     "node_profile",
     "compute_record",
 ]
@@ -98,13 +96,6 @@ def total_norm(field: "SpinorField", params: "SimParams") -> float:
     return sum(partial_norm(field, j + 1, params) for j in range(field.n_bonds))
 
 
-def reflection_coefficient(record: DiagnosticsRecord) -> float:
-    """Fraction of the total norm still on the incoming bond, N1 / sum Nj."""
-    if record.total_norm <= 0:
-        raise ValueError("reflection coefficient undefined for zero total norm")
-    return record.partial_norms[0] / record.total_norm
-
-
 def transmitted_fractions(
     record: DiagnosticsRecord,
     threshold: float = FULLY_TRANSMITTED_THRESHOLD,
@@ -112,11 +103,14 @@ def transmitted_fractions(
     """Outgoing-bond norm fractions Nj / sum_{k>=2} Nk after transmission.
 
     Only meaningful once the packet has left the incoming bond; raises if
-    the reflection coefficient still exceeds ``threshold``.
+    the record's reflection still exceeds ``threshold``, or if its total
+    norm is zero.
     """
     if len(record.partial_norms) < 2:
         raise ValueError("transmitted fractions need at least one outgoing bond")
-    r = reflection_coefficient(record)
+    if record.total_norm <= 0:
+        raise ValueError("reflection coefficient undefined for zero total norm")
+    r = record.reflection
     if r > threshold:
         raise ValueError(
             f"packet not fully transmitted: R = {r:.4f} > {threshold}"
@@ -163,18 +157,11 @@ def boundary_form(
     return -1j * total
 
 
-def density_profile(
-    field: "SpinorField", bond_index: int, params: "SimParams"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Position probability density |phi|^2 + |chi|^2 at the bond's nodes."""
-    x, _, _, dens = node_profile(field, bond_index, params)
-    return x, dens
-
-
 def node_profile(
     field: "SpinorField", bond_index: int, params: "SimParams"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(x, phi, chi, density) sampled at one bond's integer nodes."""
+    """(x, phi, chi, density) sampled at one bond's integer nodes; the
+    density is the position probability density |phi|^2 + |chi|^2."""
     b = bond_index - 1
     x = field.bonds[b].node_coordinates()
     phi = _phi_at_nodes(field, b, params)
@@ -189,7 +176,7 @@ def compute_record(
     """Assemble the scalar diagnostics of the current state.
 
     The reflection entry is N1 / total, or 0 for an identically zero field
-    (the standalone reflection_coefficient rejects that case instead).
+    (``transmitted_fractions`` rejects a record of zero total norm).
     """
     partial, e = [], 0.0
     for b in range(field.n_bonds):

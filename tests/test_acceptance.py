@@ -19,7 +19,6 @@ from diracstar import (
     boundary_form,
     build_initial_field,
     build_star_graph,
-    density_profile,
     energy,
     load_config,
     run,
@@ -30,6 +29,7 @@ from diracstar import (
     vertex_tbc_factor,
 )
 from diracstar.bessel import _bessel_j
+from diracstar.diagnostics import node_profile
 from diracstar.solver import _history_convolution
 
 from .conftest import CONFIG_DIR
@@ -129,8 +129,8 @@ def test_criterion_06_interior_exterior_equivalence(canonical_config):
         f_full = step(f_full, g_full, p_full, pol_full)
         f_int = step(f_int, g_int, p_int, pol_int)
         if n % 10 == 0:
-            _, d_full = density_profile(f_full, 1, p_full)
-            _, d_int = density_profile(f_int, 1, p_int)
+            d_full = node_profile(f_full, 1, p_full)[3]
+            d_int = node_profile(f_int, 1, p_int)[3]
             linf = max(linf, float(np.max(np.abs(d_full - d_int))))
     assert linf < 1e-3
     report(
@@ -227,7 +227,7 @@ def _density_samples(graph, params, policy):
     for n in range(1, params.n_steps + 1):
         step(field, graph, params, policy)
         if n % every == 0:
-            samples.append([density_profile(field, j, params)
+            samples.append([node_profile(field, j, params)[::3]
                             for j in range(1, field.n_bonds + 1)])
     return samples
 
@@ -305,8 +305,8 @@ def test_criterion_10_second_order_convergence():
         )
         for _ in range(n_steps):
             field = step(field, line, params, policy)
-        x1, d1 = density_profile(field, 1, params)
-        x2, d2 = density_profile(field, 2, params)
+        x1, _, _, d1 = node_profile(field, 1, params)
+        x2, _, _, d2 = node_profile(field, 2, params)
         return np.concatenate([x1, x2[1:]]), np.concatenate([d1, d2[1:]])
 
     phi0 = chi0 = lambda x: gaussian(x, x0, sigma)

@@ -15,7 +15,6 @@ from diracstar import (
     compute_record,
     energy,
     partial_norm,
-    reflection_coefficient,
     total_norm,
     transmitted_fractions,
 )
@@ -58,10 +57,26 @@ def test_normalized_initial_condition_norms():
 
 
 def test_reflection_examples():
-    assert reflection_coefficient(make_record([0.2, 0.5, 0.3])) == pytest.approx(0.2)
-    assert reflection_coefficient(make_record([1.0, 0.0, 0.0])) == 1.0
+    # a record's reflection is N1 / sum Nj, and 1 with every other bond at
+    # zero; a record of zero total norm has none that transmitted_fractions
+    # can use
+    g = canonical_graph(length=1.0, dx=0.05)
+    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=1)
+    rng = np.random.default_rng(7)
+    field = SpinorField(g.bonds)
+    for arr in field.phi + field.chi:
+        arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
+    want = partial_norm(field, 1, params) / total_norm(field, params)
+    assert compute_record(field, params, 0.0).reflection == want
+    for arr in field.phi[1:] + field.chi[1:]:
+        arr[:] = 0.0
+    assert compute_record(field, params, 0.0).reflection == 1.0
+    zero = compute_record(SpinorField(g.bonds), params, 0.0)
+    assert zero.reflection == 0.0
     with pytest.raises(ValueError, match="zero total norm"):
-        reflection_coefficient(DiagnosticsRecord(0.0, (0.0, 0.0), 0.0, 0.0, 0.0))
+        transmitted_fractions(zero)
+    with pytest.raises(ValueError, match="zero total norm"):
+        transmitted_fractions(DiagnosticsRecord(0.0, (0.0, 0.0), 0.0, 0.0, 0.0))
 
 
 def test_transmitted_fractions_symmetric_split():

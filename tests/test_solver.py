@@ -18,7 +18,6 @@ from diracstar import (
     VertexMode,
     build_initial_field,
     build_star_graph,
-    density_profile,
     energy,
     gaussian_spinor,
     load_config,
@@ -27,6 +26,7 @@ from diracstar import (
     total_norm,
 )
 from diracstar.config import ExperimentConfig
+from diracstar.diagnostics import node_profile
 from diracstar.solver import (
     OVERFLOW_FACTOR, _check_stability, _divide, _divisor, check_packet,
 )
@@ -191,7 +191,7 @@ def test_massless_transport_on_line():
                                 normalize=False)
     for _ in range(300):
         field = step(field, g, params, policy)
-    x1, d1 = density_profile(field, 1, params)
+    x1, _, _, d1 = node_profile(field, 1, params)
     expected = 2.0 * gaussian(x1, -2.0, 0.9) ** 2
     assert np.max(np.abs(d1 - expected)) < 1e-2
 
