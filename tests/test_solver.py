@@ -1,4 +1,5 @@
 import copy
+import re
 import sys
 from dataclasses import astuple, replace
 
@@ -266,9 +267,11 @@ def test_cfl_violation_triggers_overflow_guard():
     policy = dirichlet_policy(g)
     rng = np.random.default_rng(5)
     field = random_field(g, rng, amplitude=1e-3)
-    with pytest.raises(InstabilityError):
+    with pytest.raises(InstabilityError) as err:
         for _ in range(5000):
-            field = step(field, g, params, policy)
+            step(field, g, params, policy)
+    # the step that tripped the guard left the field at the level it names
+    assert re.search(rf"\bat step {field.time_level}\b", str(err.value))
 
 
 def test_instability_names_step_bond_and_node_class():
