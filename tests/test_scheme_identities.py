@@ -97,7 +97,7 @@ def test_steps_forward_and_back_return_to_the_start(star):
 # sin theta nears 1.  (Evaluated as arcsin sqrt((lam^2 s^2 + mu^2) / (1 +
 # mu^2)) instead, 1 - sin^2 theta = (1 - lam^2 s^2) / (1 + mu^2) cancels
 # for large mu: at m = 5000 that form alone is 3e-12 off the phase after
-# 200 steps, which is the gap seen at m = 5000 before; here it is 5e-14.)
+# 200 steps, more than the scheme's own gap there, 5e-14.)
 #
 # Rounding: each step makes a local error of at most 8 eps (as for time
 # reversal); the scheme carries it on without growth in the discrete
@@ -107,7 +107,7 @@ def test_steps_forward_and_back_return_to_the_start(star):
 # kappa = sqrt((1 + lam) / (1 - lam s_max)) (51 at lam = 1).  The predicted
 # phase 2 n theta is off by at most 2 n (4 eps theta) <= 4 pi n eps.
 # Measured worst over m in [0, 100]: 6.3e-13 at lam = 1 and p = 2C - 1,
-# against a bound of 1.8e-11 there.
+# against a bound of 1.9e-11 there.
 
 
 def dispersion_bound(lam, n):
