@@ -643,6 +643,44 @@ def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
     assert field_state(field) == before
 
 
+@pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
+def test_cfl_above_one_is_rejected_before_the_first_write(run_index):
+    # dt/dx = 1.2 on the library path, with a kernel built for that dt:
+    # unchecked, the field was built and stepped at the unstable ratio
+    # until the overflow guard tripped
+    params, runs = open_runs()
+    graph, make_policy = runs[run_index]
+    policy = make_policy()
+    fast = replace(params, dt=1.2 * graph.dx)
+    fast_policy = BoundaryPolicy(policy.vertex_mode, policy.end_modes,
+                                 BesselKernel.build(fast.mass, fast.dt, fast.n_steps))
+    with pytest.raises(ValueError, match=r"^CFL violated: dt/dx = 1\.2\d* exceeds 1$"):
+        build_initial_field(graph, fast, fast_policy, x0=-1.0, sigma=0.2)
+    field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+    for _ in range(5):
+        field = step(field, graph, params, policy)
+    before = field_state(field)
+    assert len(before[3]) == 2 and all(before[3].values())
+    with pytest.raises(ValueError, match=r"^CFL violated: dt/dx = 1\.2\d* exceeds 1$"):
+        step(field, graph, fast, fast_policy)
+    assert field_state(field) == before
+
+
+def test_run_rejects_a_kernel_shorter_than_the_run(monkeypatch):
+    # the kernel's length is a second owner of n_steps: unchecked, run
+    # stepped as far as the kernel reached and then raised
+    # MissingHistoryError, which names the kernel's count only
+    config = replace(load_config(CONFIG_DIR / "open_line.cfg"),
+                     n_steps=20, snapshot_times=())
+    short = replace(config, n_steps=5).build_policy()
+    steps = []
+    original = solver.step
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(1) or original(*a))
+    with pytest.raises(ValueError, match="^kernel covers 5 steps, but the run has 20$"):
+        run(config, short)
+    assert steps == []
+
+
 def test_stepping_a_field_twice_is_rejected():
     # a shallow copy shares the arena and the histories, which its original
     # stepped on, but keeps the old time level
