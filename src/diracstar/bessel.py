@@ -97,6 +97,17 @@ def _bessel_j(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return j0, j1
 
 
+def check_run_constants(mass: float, dt: float, n_steps: int) -> None:
+    """The rule for a run's mass, dt and n_steps, which ``SimParams`` and
+    the kernel share: mass >= 0 and dt > 0 finite, n_steps >= 0."""
+    if not 0.0 <= mass < np.inf:
+        raise ValueError(f"mass must be finite and non-negative, got {mass}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+
+
 @dataclass(frozen=True)
 class BesselKernel:
     """Kernel samples for the boundary convolutions on a fixed time grid.
@@ -123,12 +134,7 @@ class BesselKernel:
 
     @classmethod
     def build(cls, mass: float, dt: float, n_steps: int) -> "BesselKernel":
-        if not 0.0 <= mass < np.inf:
-            raise ValueError(f"mass must be finite and non-negative, got {mass}")
-        if not 0.0 < dt < np.inf:
-            raise ValueError(f"dt must be finite and positive, got {dt}")
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+        check_run_constants(mass, dt, n_steps)
         if not mass * dt * n_steps < np.inf:
             raise ValueError(
                 f"kernel argument m*dt*n_steps is not finite: mass {mass!r}, "

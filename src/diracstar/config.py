@@ -26,7 +26,7 @@ from pathlib import Path
 from .bessel import BesselKernel
 from .boundaries import BoundaryPolicy, EndMode, VertexMode
 from .graph import StarGraph, build_star_graph
-from .solver import SimParams, check_packet, check_source
+from .solver import SimParams, check_cfl, check_packet, check_source
 
 __all__ = ["ConfigError", "SweepSpec", "ExperimentConfig", "load_config"]
 
@@ -113,6 +113,7 @@ class ExperimentConfig:
                 raise ConfigError(f"one {key} per bond required")
         graph = _checked("graph/bond", self.build_graph)
         _checked("simulation", self.sim_params().validate)
+        _checked("simulation", check_cfl, self.dt, graph.dx)
         vertex = _mode(VertexMode, self.vertex_mode, "boundary", "vertex_mode")
         for j, mode in enumerate(ends, start=1):
             end = _mode(EndMode, mode, f"bond {j}", "end_mode")
@@ -157,12 +158,7 @@ class ExperimentConfig:
         )
 
     def sim_params(self) -> SimParams:
-        return SimParams(
-            mass=self.mass,
-            dt=self.dt,
-            dx=self.dx,
-            n_steps=self.n_steps,
-        )
+        return SimParams(mass=self.mass, dt=self.dt, n_steps=self.n_steps)
 
     def build_policy(self) -> BoundaryPolicy:
         """Boundary policy, with the kernel when a boundary is transparent."""

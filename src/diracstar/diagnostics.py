@@ -46,11 +46,11 @@ class DiagnosticsRecord:
 
 def _phi_at_nodes(field: "SpinorField", b: int, params: "SimParams") -> np.ndarray:
     """phi advanced half a step to chi's time level (one-sided at the ends)."""
-    phi, chi = field.phi[b], field.chi[b]
+    phi, chi, dx = field.phi[b], field.chi[b], field.bonds[b].dx
     dchi = np.empty_like(phi)
-    dchi[1:-1] = (chi[1:] - chi[:-1]) / params.dx
-    dchi[0] = (-2.0 * chi[0] + 3.0 * chi[1] - chi[2]) / params.dx
-    dchi[-1] = (2.0 * chi[-1] - 3.0 * chi[-2] + chi[-3]) / params.dx
+    dchi[1:-1] = (chi[1:] - chi[:-1]) / dx
+    dchi[0] = (-2.0 * chi[0] + 3.0 * chi[1] - chi[2]) / dx
+    dchi[-1] = (2.0 * chi[-1] - 3.0 * chi[-2] + chi[-3]) / dx
     return phi - 0.5 * params.dt * (dchi + 1j * params.mass * phi)
 
 
@@ -71,15 +71,14 @@ def _chi_part(field: "SpinorField", b: int) -> np.float64:
 
 def _bond_norm(field: "SpinorField", b: int, params: "SimParams", chi_part) -> float:
     p2 = np.abs(_phi_at_nodes(field, b, params)) ** 2
-    return float(params.dx * (p2.sum() - 0.5 * (p2[0] + p2[-1]) + chi_part))
+    return float(field.bonds[b].dx * (p2.sum() - 0.5 * (p2[0] + p2[-1]) + chi_part))
 
 
 def _bond_energy(field: "SpinorField", b: int, params: "SimParams", chi_part):
-    p, c = field.phi[b], field.chi[b]
+    p, c, dx = field.phi[b], field.chi[b], field.bonds[b].dx
     p2 = np.abs(p) ** 2
     cross = np.sum(((p[1:] - p[:-1]) * np.conj(c)).real)
-    return params.dx * (p2.sum() - 0.5 * (p2[0] + p2[-1]) + chi_part
-                        + params.courant * cross)
+    return dx * (p2.sum() - 0.5 * (p2[0] + p2[-1]) + chi_part + params.dt / dx * cross)
 
 
 def partial_norm(field: "SpinorField", bond_index: int, params: "SimParams") -> float:

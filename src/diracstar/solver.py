@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bessel import BesselKernel
+from .bessel import BesselKernel, check_run_constants
 from .boundaries import BoundaryPolicy, EndMode, VertexMode, vertex_tbc_factor
 from .graph import Bond, Orientation, StarGraph
 
@@ -78,31 +78,20 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """Time-stepping parameters; ``validate`` enforces the CFL bound."""
+    """Time-stepping parameters; the grid spacing is the graph's."""
 
     mass: float
     dt: float
-    dx: float
     n_steps: int
 
-    @property
-    def courant(self) -> float:
-        return self.dt / self.dx
-
     def validate(self) -> None:
-        for name in ("mass", "dt", "dx"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.mass < 0:
-            raise ValueError(f"mass must be non-negative, got {self.mass}")
-        if self.dt <= 0 or self.dx <= 0:
-            raise ValueError("dt and dx must be positive")
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
-        if self.courant > 1.0 + 1e-12:
-            raise ValueError(
-                f"CFL violated: dt/dx = {self.courant} exceeds 1"
-            )
+        check_run_constants(self.mass, self.dt, self.n_steps)
+
+
+def check_cfl(dt: float, dx: float) -> None:
+    """The CFL rule: the scheme is stable for dt/dx <= 1."""
+    if dt / dx > 1.0 + 1e-12:
+        raise ValueError(f"CFL violated: dt/dx = {dt / dx} exceeds 1")
 
 
 class SpinorField:
@@ -255,7 +244,7 @@ def build_initial_field(
     p[:], c[:] = amplitude * phi0, amplitude * chi0
     # phi(-dt/2) = phi0 + (dt/2)(d_x chi0 + i m phi0) at interior nodes; the
     # other bonds are +0 and would stay so
-    dchi = (c[1:] - c[:-1]) / params.dx
+    dchi = (c[1:] - c[:-1]) / graph.dx
     p[1:-1] += 0.5 * params.dt * (dchi + 1j * params.mass * p[1:-1])
 
     phi = field.phi_buf
@@ -318,11 +307,12 @@ def _history_convolution(past: _History, kernel: BesselKernel, level: int) -> co
     return complex(kernel.dt * np.dot(g, past[:level]))
 
 
-def _tbc_coefficients(kernel: BesselKernel, params: SimParams, factor: float = 1.0):
+def _tbc_coefficients(kernel: BesselKernel, lam: float, factor: float = 1.0):
     """(denominator, numerator factor) of a transparent node's equation at
-    level 0 and at every later level; the newest value's multiplier is 1 at
-    level 0 (an empty interval), then 1 plus its trapezoid weight dt g_0 / 2."""
-    lam_a, beta = params.courant * factor, 0.5j * params.mass * params.dt
+    level 0 and at every later level, for lam = dt/dx and the kernel's mass
+    and dt; the newest value's multiplier is 1 at level 0 (an empty
+    interval), then 1 plus its trapezoid weight dt g_0 / 2."""
+    lam_a, beta = lam * factor, 0.5j * kernel.mass * kernel.dt
     endpoint = (1.0 + 0.0j, 1.0 + 0.5 * kernel.dt * kernel.conv_weights[0])
     return tuple((1.0 + lam_a * f + beta, 1.0 - lam_a * f - beta) for f in endpoint)
 
@@ -394,17 +384,23 @@ class _StepPlan:
     per transparent boundary, vertex first, (history key, node, adjacent cell,
     right end, factor A, coefficients); the Dirichlet end nodes; the pads;
     ``reach``, 1 + the largest vertex or transparent node.
-    Raises ValueError unless the policy fits the graph, its kernel the
-    params' mass and dt, and the field the simulated bonds."""
+    Raises ValueError unless dt/dx on the graph's grid keeps the CFL bound,
+    the policy fits the graph, its kernel the params' mass and dt and at
+    least their n_steps, and the field the simulated bonds."""
 
     def __init__(self, field, graph, params, policy) -> None:
+        check_cfl(params.dt, graph.dx)
         policy.validate_for(graph)
         k = policy.kernel
-        if policy.requires_kernel and (k.mass, k.dt) != (params.mass, params.dt):
-            raise ValueError(
-                f"kernel built for mass {k.mass!r} and dt {k.dt!r}, but the run "
-                f"has mass {params.mass!r} and dt {params.dt!r}"
-            )
+        if policy.requires_kernel:
+            if (k.mass, k.dt) != (params.mass, params.dt):
+                raise ValueError(
+                    f"kernel built for mass {k.mass!r} and dt {k.dt!r}, but the "
+                    f"run has mass {params.mass!r} and dt {params.dt!r}"
+                )
+            if (n := len(k.samples) - 1) < params.n_steps:
+                raise ValueError(
+                    f"kernel covers {n} steps, but the run has {params.n_steps}")
         interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
         if interior_only and field.n_bonds != 1:
             raise ValueError(
@@ -414,7 +410,8 @@ class _StepPlan:
         if not interior_only and field.n_bonds != graph.n_bonds:
             raise ValueError("field does not cover the full graph")
         self.graph, self.params, self.policy = graph, params, policy
-        self.lam, self.two_lam = params.courant, 2.0 * params.courant
+        self.lam = params.dt / graph.dx
+        self.two_lam = 2.0 * self.lam
         self.cp = 1.0 + 0.5j * params.mass * params.dt
         self.cm = 1.0 - 0.5j * params.mass * params.dt
         self.by_cp, self.by_cm = _divisor(self.cp), _divisor(self.cm)
@@ -439,7 +436,7 @@ class _StepPlan:
             else:
                 ends.append((f"end{bond.index}", node, cell, right_end, 1.0))
         self.transparent = [
-            (*e, _tbc_coefficients(policy.kernel, params, e[4])) for e in ends
+            (*e, _tbc_coefficients(policy.kernel, self.lam, e[4])) for e in ends
         ]
         junctions = [*(self.vertex[0] if self.vertex else ()), *(e[1] for e in ends)]
         self.reach = 1 + max(junctions, default=-1)
@@ -468,10 +465,11 @@ def step(
     ``params`` and ``policy`` are planned once per run (by
     ``build_initial_field``, else by the first step) and kept on the field,
     so none of the three may change during a run.
-    Raises ValueError for a field whose histories are at another level
-    (e.g. a shallow copy of a field that stepped on), for a policy that
-    does not fit the graph or whose kernel does not fit the params, and
-    MissingHistoryError past the kernel; each leaves the field as it was.
+    Raises ValueError for dt/dx above the CFL bound on the graph's grid,
+    for a field whose histories are at another level (e.g. a shallow copy
+    of a field that stepped on), for a policy that does not fit the graph
+    or whose kernel does not fit the params, and MissingHistoryError past
+    the kernel; each leaves the field as it was.
     InstabilityError, when a value exceeds the overflow guard or is not
     finite, leaves the field at the new level, which its message names.
     """
@@ -570,7 +568,8 @@ def _instability_report(field: SpinorField, params: SimParams, peak: float) -> s
         where = "end"
     else:
         where = "interior"
-    place = f"{kind} {k} of bond {bond.index} ({where}); dt/dx = {params.courant:g}"
+    lam = params.dt / bond.dx
+    place = f"{kind} {k} of bond {bond.index} ({where}); dt/dx = {lam:g}"
     if not np.isfinite(peak):
         return (
             f"non-finite field value at step {field.time_level}, "

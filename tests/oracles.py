@@ -291,17 +291,17 @@ def trapezoid_convolution(values, conv_weights, dt: float, level: int) -> comple
 
 # The per-bond forms that the junction set-up and the diagnostics had before
 # the step plan set the junctions and one pass summed each bond: a bit
-# reference, not a truth.  Each reads ``field.phi[b]``, ``field.chi[b]`` and
-# ``field.n_bonds`` of any field and ``dx``, ``dt``, ``mass`` and
-# ``courant`` of any params, so nothing here imports the package.
+# reference, not a truth.  Each reads ``field.phi[b]``, ``field.chi[b]``,
+# ``field.n_bonds`` and the grid spacing ``field.bonds[b].dx`` of any field
+# and ``dt`` and ``mass`` of any params, so nothing here imports the package.
 
 
 def _phi_at_nodes_reference(field, b, params):
-    phi, chi = field.phi[b], field.chi[b]
+    phi, chi, dx = field.phi[b], field.chi[b], field.bonds[b].dx
     dchi = np.empty_like(phi)
-    dchi[1:-1] = (chi[1:] - chi[:-1]) / params.dx
-    dchi[0] = (-2.0 * chi[0] + 3.0 * chi[1] - chi[2]) / params.dx
-    dchi[-1] = (2.0 * chi[-1] - 3.0 * chi[-2] + chi[-3]) / params.dx
+    dchi[1:-1] = (chi[1:] - chi[:-1]) / dx
+    dchi[0] = (-2.0 * chi[0] + 3.0 * chi[1] - chi[2]) / dx
+    dchi[-1] = (2.0 * chi[-1] - 3.0 * chi[-2] + chi[-3]) / dx
     return phi - 0.5 * params.dt * (dchi + 1j * params.mass * phi)
 
 
@@ -310,18 +310,18 @@ def partial_norm_reference(field, bond_index, params) -> float:
     p2 = np.abs(_phi_at_nodes_reference(field, b, params)) ** 2
     phi_part = p2.sum() - 0.5 * (p2[0] + p2[-1])
     chi_part = np.sum(np.abs(field.chi[b]) ** 2)
-    return float(params.dx * (phi_part + chi_part))
+    return float(field.bonds[b].dx * (phi_part + chi_part))
 
 
 def energy_reference(field, params) -> float:
     total = 0.0
-    lam = params.courant
-    for p, c in zip(field.phi, field.chi):
+    for p, c, bond in zip(field.phi, field.chi, field.bonds):
+        lam = params.dt / bond.dx
         p2 = np.abs(p) ** 2
         phi_part = p2.sum() - 0.5 * (p2[0] + p2[-1])
         chi_part = np.sum(np.abs(c) ** 2)
         cross = np.sum(((p[1:] - p[:-1]) * np.conj(c)).real)
-        total += params.dx * (phi_part + chi_part + lam * cross)
+        total += bond.dx * (phi_part + chi_part + lam * cross)
     return float(total)
 
 
@@ -362,8 +362,8 @@ def initial_field_reference(field, params, alphas, vertex_mode, dirichlet_ends,
     'weighted' or 'transparent' (a bond-1 field), ``alphas`` and
     ``dirichlet_ends`` hold one entry per graph bond."""
     phi = field.phi
-    for p, c in zip(phi, field.chi):
-        dchi = (c[1:] - c[:-1]) / params.dx
+    for p, c, bond in zip(phi, field.chi, field.bonds):
+        dchi = (c[1:] - c[:-1]) / bond.dx
         p[1:-1] += 0.5 * params.dt * (dchi + 1j * params.mass * p[1:-1])
     if dirichlet_ends[0]:
         phi[0][0] = 0.0

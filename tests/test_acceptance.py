@@ -235,7 +235,7 @@ def _density_samples(graph, params, policy):
 @pytest.mark.parametrize("case, mass, t_end", TBC_CASES)
 def test_criterion_12_transparent_boundaries_match_a_large_domain(case, mass, t_end):
     dx = TBC_DX
-    params = SimParams(mass, 0.8 * dx, dx, round(t_end / (0.8 * dx)))
+    params = SimParams(mass, 0.8 * dx, round(t_end / (0.8 * dx)))
     kernel = BesselKernel.build(mass, params.dt, params.n_steps)
     far = 0.5 * t_end + 5.0
     if case == "ends":
@@ -269,7 +269,7 @@ def test_criterion_09_self_adjointness_probe():
     graph = build_star_graph(
         [(a, 1.0, 0.05) for a in (SUM_RULE_ALPHA1, 1.0, math.sqrt(2.0))]
     )
-    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=1)
+    params = SimParams(mass=0.1, dt=0.04, n_steps=1)
     rng = np.random.default_rng(99)
     worst = 0.0
     for alphas in ((1.0, 1.0, 1.0), (SUM_RULE_ALPHA1, 1.0, math.sqrt(2.0))):
@@ -298,7 +298,7 @@ def test_criterion_10_second_order_convergence():
     def production_density(dx, dt, mass):
         line = build_star_graph([(1.0, 20.0, dx), (1.0, 20.0, dx)])
         n_steps = int(round(t_final / dt))
-        params = SimParams(mass=mass, dt=dt, dx=dx, n_steps=n_steps)
+        params = SimParams(mass=mass, dt=dt, n_steps=n_steps)
         policy = BoundaryPolicy(VertexMode.KIRCHHOFF, (EndMode.DIRICHLET,) * 2)
         field = build_initial_field(
             line, params, policy, x0=x0, sigma=sigma, normalize=False

@@ -56,7 +56,7 @@ def stars(draw):
     vertex = draw(st.sampled_from(list(VertexMode)))
     ends = tuple(draw(st.lists(st.sampled_from(list(EndMode)), min_size=n, max_size=n)))
     params = SimParams(mass=draw(st.floats(0.0, 5.0)),
-                       dt=draw(st.floats(0.1, 1.0)) * DX, dx=DX, n_steps=4)
+                       dt=draw(st.floats(0.1, 1.0)) * DX, n_steps=4)
     kernel = None
     if vertex is VertexMode.TRANSPARENT or EndMode.TRANSPARENT in ends:
         kernel = BesselKernel.build(params.mass, params.dt, params.n_steps)

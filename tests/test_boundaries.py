@@ -25,15 +25,17 @@ from diracstar.solver import _History, _history_convolution, _vertex_shared_valu
 from .conftest import CANONICAL_ALPHAS, CONFIG_DIR
 from .oracles import trapezoid_convolution
 
-MASSLESS = SimParams(mass=0.0, dt=0.01, dx=0.0125, n_steps=64)
-MASSIVE = SimParams(mass=0.3, dt=0.01, dx=0.0125, n_steps=64)
+DX = 0.0125  # the grid spacing of the node-level tests
+MASSLESS = SimParams(mass=0.0, dt=0.01, n_steps=64)
+MASSIVE = SimParams(mass=0.3, dt=0.01, n_steps=64)
 
 
 def _solve_tbc_node(q, chi_adj, history, kernel, level, params, right_end, factor=1.0):
     """The stepper's node update with the constants a step plan holds."""
+    lam = params.dt / DX
     return solver._solve_tbc_node(
-        q, chi_adj, history, kernel, level, 2.0 * params.courant,
-        solver._tbc_coefficients(kernel, params, factor), right_end, factor,
+        q, chi_adj, history, kernel, level, 2.0 * lam,
+        solver._tbc_coefficients(kernel, lam, factor), right_end, factor,
     )
 
 
@@ -65,8 +67,8 @@ def assert_local_relation(kernel, sign, factor, seed):
     p = ((1 - lam A) q + sign 2 lam chi_adj) / (1 + lam A), up to rounding.
     """
     rng = np.random.default_rng(seed)
-    lam = MASSLESS.courant
-    first, later = solver._tbc_coefficients(kernel, MASSLESS, factor)
+    lam = MASSLESS.dt / DX
+    first, later = solver._tbc_coefficients(kernel, lam, factor)
     assert later == first  # the newest value's multiplier stays 1
     history = _History(len(kernel.reversed_weights))
     for level in range(20):
@@ -135,9 +137,10 @@ def test_history_linearity(kernel_massive):
 
 
 def test_missing_history_signalled():
-    # the kernel covers levels 0..2: the fourth step needs level 3
+    # the kernel covers levels 0..2, built for the run's 2 steps: a field
+    # stepped on past them needs level 3 at its fourth step
     line = build_star_graph([(1.0, 2.0, 0.05), (1.0, 2.0, 0.05)])
-    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=10)
+    params = SimParams(mass=0.3, dt=0.04, n_steps=2)
     policy = BoundaryPolicy(
         VertexMode.KIRCHHOFF,
         (EndMode.TRANSPARENT,) * 2,
@@ -209,7 +212,7 @@ def vertex_values(field):
 def test_apply_vertex_enforces_conditions_exactly():
     # the stepper applies the weighted vertex conditions after every step:
     # a_j phi_j(0) is one shared value on every bond
-    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=50)
+    params = SimParams(mass=0.1, dt=0.04, n_steps=50)
     for alphas in (CANONICAL_ALPHAS, (0.7, 1.3, 2.1, 0.9)):
         graph = build_star_graph([(a, 2.0, 0.05) for a in alphas])
         policy = BoundaryPolicy(
@@ -227,7 +230,7 @@ def test_apply_vertex_enforces_conditions_exactly():
 
 def test_apply_vertex_weighted_distribution():
     # incoming value p splits as phi_j(0) = (a1/aj) p over the outgoing bonds
-    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=50)
+    params = SimParams(mass=0.1, dt=0.04, n_steps=50)
     graph = build_star_graph([(a, 2.0, 0.05) for a in CANONICAL_ALPHAS])
     policy = BoundaryPolicy(VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * 3)
     field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
@@ -251,7 +254,7 @@ def test_apply_vertex_weighted_distribution():
 
 def test_step_kirchhoff_vertex_ignores_weights():
     # Kirchhoff mode steps as the weighted vertex with unit weights would
-    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=50)
+    params = SimParams(mass=0.1, dt=0.04, n_steps=50)
 
     def evolve(alphas, mode):
         graph = build_star_graph([(a, 2.0, 0.05) for a in alphas])
@@ -282,7 +285,7 @@ def test_kernel_must_match_the_run():
     # a kernel for another mass or dt would step without complaint
     line = build_star_graph([(1.0, 2.0, 0.05), (1.0, 2.0, 0.05)])
     star = build_star_graph([(1.0, 2.0, 0.05)] * 3)
-    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=50)
+    params = SimParams(mass=0.3, dt=0.04, n_steps=50)
     for kernel, named in (
         (BesselKernel.build(0.0, 0.04, 50), "mass 0.0 and dt 0.04, but the run "
          "has mass 0.3"),
@@ -301,7 +304,7 @@ def test_kernel_must_match_the_run():
 
 def test_initial_field_checks_end_mode_count():
     graph = build_star_graph([(a, 2.0, 0.05) for a in CANONICAL_ALPHAS])
-    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=10)
+    params = SimParams(mass=0.1, dt=0.04, n_steps=10)
     for n_modes in (2, 5):
         policy = BoundaryPolicy(
             VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * n_modes

@@ -36,7 +36,7 @@ def make_record(norms, t=10.0):
 
 def test_partial_norm_zero_field():
     g = canonical_graph(length=1.0, dx=0.05)
-    params = SimParams(mass=0.01, dt=0.04, dx=0.05, n_steps=1)
+    params = SimParams(mass=0.01, dt=0.04, n_steps=1)
     field = SpinorField(g.bonds)
     assert partial_norm(field, 1, params) == 0.0
     assert total_norm(field, params) == 0.0
@@ -44,7 +44,7 @@ def test_partial_norm_zero_field():
 
 def test_normalized_initial_condition_norms():
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=1)
     policy = BoundaryPolicy(VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * 3)
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
     n = [partial_norm(field, j, params) for j in (1, 2, 3)]
@@ -61,7 +61,7 @@ def test_reflection_examples():
     # zero; a record of zero total norm has none that transmitted_fractions
     # can use
     g = canonical_graph(length=1.0, dx=0.05)
-    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=1)
+    params = SimParams(mass=0.3, dt=0.04, n_steps=1)
     rng = np.random.default_rng(7)
     field = SpinorField(g.bonds)
     for arr in field.phi + field.chi:
@@ -103,7 +103,7 @@ def test_four_bond_equal_weights_split_equally():
     # generalized sum rule with three identical outgoing bonds
     alphas = (3**-0.5, 1.0, 1.0, 1.0)
     g = build_star_graph([(a, 20.0, 0.0125) for a in alphas])
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1000)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=1000)
     policy = BoundaryPolicy(VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * 4)
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
     for _ in range(1000):
@@ -119,26 +119,26 @@ def test_four_bond_equal_weights_split_equally():
 
 def test_energy_zero_field():
     g = canonical_graph(length=1.0, dx=0.05)
-    params = SimParams(mass=0.01, dt=0.04, dx=0.05, n_steps=1)
+    params = SimParams(mass=0.01, dt=0.04, n_steps=1)
     assert energy(SpinorField(g.bonds), params) == 0.0
 
 
 def test_energy_without_chi_is_phi_norm():
     g = canonical_graph(length=1.0, dx=0.05)
-    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=1)
+    params = SimParams(mass=0.3, dt=0.04, n_steps=1)
     rng = np.random.default_rng(2)
     field = SpinorField(g.bonds)
     expected = 0.0
     for p in field.phi:
         p[:] = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
         p2 = np.abs(p) ** 2
-        expected += params.dx * (p2.sum() - 0.5 * (p2[0] + p2[-1]))
+        expected += g.dx * (p2.sum() - 0.5 * (p2[0] + p2[-1]))
     assert energy(field, params) == expected
 
 
 def test_energy_invariant_under_global_phase():
     g = canonical_graph(length=1.0, dx=0.05)
-    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=1)
+    params = SimParams(mass=0.3, dt=0.04, n_steps=1)
     rng = np.random.default_rng(4)
     field = SpinorField(g.bonds)
     for p in field.phi:
@@ -202,7 +202,7 @@ def impose_vertex_conditions(field, graph, alphas):
 def test_boundary_form_vanishes_for_coupled_fields(mode_alphas):
     _, alphas = mode_alphas
     g = canonical_graph(length=1.0, dx=0.05)
-    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=1)
+    params = SimParams(mass=0.1, dt=0.04, n_steps=1)
     rng = np.random.default_rng(6)
     psi = impose_vertex_conditions(smooth_field(g, rng), g, alphas)
     phi = impose_vertex_conditions(smooth_field(g, rng), g, alphas)
@@ -213,7 +213,7 @@ def test_boundary_form_vanishes_for_coupled_fields(mode_alphas):
 
 def test_boundary_form_nonzero_for_random_fields():
     g = canonical_graph(length=1.0, dx=0.05)
-    params = SimParams(mass=0.1, dt=0.04, dx=0.05, n_steps=1)
+    params = SimParams(mass=0.1, dt=0.04, n_steps=1)
     rng = np.random.default_rng(42)
     psi = smooth_field(g, rng)
     phi = smooth_field(g, rng)

@@ -64,7 +64,7 @@ def test_steps_forward_and_back_return_to_the_start(star):
     # step writes, goes 600 steps forward and 600 inverse steps back
     alphas, cells, mode, mass, lam = star[:5]
     dx = 0.05
-    params = SimParams(mass, lam * dx, dx, REVERSAL_STEPS)
+    params = SimParams(mass, lam * dx, REVERSAL_STEPS)
     graph = build_star_graph([(a, c * dx, dx) for a, c in zip(alphas, cells)])
     policy = BoundaryPolicy(mode, (EndMode.DIRICHLET,) * len(alphas))
     rng = np.random.default_rng(star[5])
@@ -80,7 +80,7 @@ def test_steps_forward_and_back_return_to_the_start(star):
     weights = alphas if mode is VertexMode.WEIGHTED else [1.0] * len(alphas)
     cp, cm = 1.0 + 0.5j * mass * params.dt, 1.0 - 0.5j * mass * params.dt
     for _ in range(REVERSAL_STEPS):
-        inverse_closed_step(phi, chi, weights, params.courant, cp, cm)
+        inverse_closed_step(phi, chi, weights, params.dt / dx, cp, cm)
     back = np.concatenate(phi + chi)
     assert np.linalg.norm(back - start) <= REVERSAL_BOUND * np.linalg.norm(start)
 
@@ -119,12 +119,12 @@ def dispersion_bound(lam, n):
 def assert_standing_mode_turns_at_the_scheme_frequency(mass, lam, p):
     cells, dx, n = DISPERSION_CELLS, DISPERSION_DX, DISPERSION_STEPS
     length = cells * dx
-    params = SimParams(mass, lam * dx, dx, n)
+    params = SimParams(mass, lam * dx, n)
     graph = build_star_graph([(1.0, length, dx)] * 2)
     policy = BoundaryPolicy(VertexMode.KIRCHHOFF, (EndMode.DIRICHLET,) * 2)
     mu = (1.0 + 0.5j * mass * params.dt).imag  # the scheme's own mu
     k = p * np.pi / (2 * length)
-    ls = params.courant * np.sin(0.5 * k * dx)
+    ls = params.dt / dx * np.sin(0.5 * k * dx)
     theta = np.arctan2(np.hypot(ls, mu), np.sqrt((1.0 - ls) * (1.0 + ls)))
     b = -1j * ls / (np.sin(theta) + mu * np.cos(theta))
     field = SpinorField(graph.bonds)
@@ -138,7 +138,7 @@ def assert_standing_mode_turns_at_the_scheme_frequency(mass, lam, p):
         field = step(field, graph, params, policy)
     got = np.concatenate(field.phi + field.chi)
     gap = np.linalg.norm(got - np.exp(-2j * theta * n) * start)
-    assert gap <= dispersion_bound(params.courant, n) * np.linalg.norm(start)
+    assert gap <= dispersion_bound(params.dt / dx, n) * np.linalg.norm(start)
 
 
 @settings(max_examples=60, deadline=None)

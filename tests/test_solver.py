@@ -29,7 +29,7 @@ from diracstar import (
 from diracstar.config import ExperimentConfig
 from diracstar.diagnostics import node_profile
 from diracstar.solver import (
-    OVERFLOW_FACTOR, _check_stability, _divide, _divisor, check_packet,
+    OVERFLOW_FACTOR, _check_stability, _divide, _divisor, check_cfl, check_packet,
 )
 
 from .conftest import CANONICAL_ALPHAS, CONFIG_DIR
@@ -91,7 +91,7 @@ def test_non_finite_sigma_named_as_the_cause(sigma):
     with pytest.raises(ValueError, match=cause):
         gaussian_spinor(-5.0, sigma, g.bonds[0])
     with pytest.raises(ValueError, match=cause):
-        build_initial_field(g, SimParams(0.0, 0.01, 0.0125, 10), dirichlet_policy(g),
+        build_initial_field(g, SimParams(0.0, 0.01, 10), dirichlet_policy(g),
                             x0=-5.0, sigma=sigma)
 
 
@@ -104,14 +104,14 @@ def test_non_finite_x0_named_as_the_cause(x0):
     with pytest.raises(ValueError, match=cause):
         check_packet(x0, 0.9, g.bonds[0])
     with pytest.raises(ValueError, match=cause):
-        build_initial_field(g, SimParams(0.0, 0.01, 0.0125, 10), dirichlet_policy(g),
+        build_initial_field(g, SimParams(0.0, 0.01, 10), dirichlet_policy(g),
                             x0=x0, sigma=0.9)
 
 
 def test_gaussian_continuum_norm_is_two():
     # each component integrates to 1, so |phi|^2 + |chi|^2 integrates to 2
     g = build_star_graph([(1.0, 40.0, 0.002), (1.0, 40.0, 0.002)])
-    params = SimParams(mass=0.0, dt=0.001, dx=0.002, n_steps=1)
+    params = SimParams(mass=0.0, dt=0.001, n_steps=1)
     policy = dirichlet_policy(g)
     field = build_initial_field(
         g, params, policy, x0=-20.0, sigma=0.9, normalize=False
@@ -121,7 +121,7 @@ def test_gaussian_continuum_norm_is_two():
 
 def test_normalization_flag():
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=1)
     field = build_initial_field(
         g, params, dirichlet_policy(g, VertexMode.WEIGHTED),
         x0=-5.0, sigma=0.9, normalize=True,
@@ -134,7 +134,7 @@ def test_normalization_flag():
 
 def test_zero_field_stays_zero():
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=1)
     policy = dirichlet_policy(g)
     field = SpinorField(g.bonds)
     out = step(field, g, params, policy)
@@ -169,7 +169,7 @@ def combine(graph, a, f1, b, f2):
 @pytest.mark.parametrize("mode", [VertexMode.KIRCHHOFF, VertexMode.WEIGHTED])
 def test_step_is_linear(mode):
     g = build_star_graph([(a, 2.0, 0.05) for a in CANONICAL_ALPHAS])
-    params = SimParams(mass=0.2, dt=0.04, dx=0.05, n_steps=1)
+    params = SimParams(mass=0.2, dt=0.04, n_steps=1)
     rng = np.random.default_rng(21)
     f1 = random_field(g, rng)
     f2 = random_field(g, rng)
@@ -186,7 +186,7 @@ def test_step_is_linear(mode):
 def test_massless_transport_on_line():
     # (1,1) Gaussian is a pure right-mover: density translates by +t
     g = line_graph()
-    params = SimParams(mass=0.0, dt=0.01, dx=0.0125, n_steps=300)
+    params = SimParams(mass=0.0, dt=0.01, n_steps=300)
     policy = dirichlet_policy(g)
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9,
                                 normalize=False)
@@ -199,7 +199,7 @@ def test_massless_transport_on_line():
 
 def test_one_step_energy_exact():
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=1)
     policy = dirichlet_policy(g, VertexMode.WEIGHTED)
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
     e0 = energy(field, params)
@@ -210,7 +210,7 @@ def test_one_step_energy_exact():
 @pytest.mark.parametrize("mode", [VertexMode.KIRCHHOFF, VertexMode.WEIGHTED])
 def test_energy_exactly_conserved_closed_system(mode):
     g = build_star_graph([(a, 5.0, 0.025) for a in CANONICAL_ALPHAS])
-    params = SimParams(mass=0.05, dt=0.02, dx=0.025, n_steps=250)
+    params = SimParams(mass=0.05, dt=0.02, n_steps=250)
     policy = dirichlet_policy(g, mode)
     field = build_initial_field(g, params, policy, x0=-2.5, sigma=0.4)
     e0 = energy(field, params)
@@ -223,7 +223,7 @@ def test_energy_exactly_conserved_closed_system(mode):
 
 def test_norm_drift_small_closed_system():
     g = build_star_graph([(a, 5.0, 0.025) for a in CANONICAL_ALPHAS])
-    params = SimParams(mass=0.05, dt=0.02, dx=0.025, n_steps=1000)
+    params = SimParams(mass=0.05, dt=0.02, n_steps=1000)
     policy = dirichlet_policy(g, VertexMode.WEIGHTED)
     field = build_initial_field(g, params, policy, x0=-2.5, sigma=0.4)
     n0 = total_norm(field, params)
@@ -238,7 +238,7 @@ def test_vertex_invisible_on_unit_line():
     # two unit-weight bonds step exactly like one uniform line
     dx, dt, mass = 0.05, 0.04, 0.3
     g = line_graph(length=2.0, dx=dx)
-    params = SimParams(mass=mass, dt=dt, dx=dx, n_steps=1)
+    params = SimParams(mass=mass, dt=dt, n_steps=1)
     rng = np.random.default_rng(3)
     field = random_field(g, rng)
     c = g.bonds[0].cells
@@ -261,22 +261,26 @@ def test_vertex_invisible_on_unit_line():
     np.testing.assert_allclose(stepped.chi[1], ref_chi[c:], rtol=1e-14, atol=1e-14)
 
 
-def test_cfl_violation_triggers_overflow_guard():
+def test_guard_trip_leaves_the_field_at_the_level_it_names():
+    # a value written past the guard's limit into a built field: the step
+    # that trips the guard has advanced the field, and its message names
+    # the level the field is left at
     g = line_graph(length=2.0, dx=0.05)
-    params = SimParams(mass=0.0, dt=0.055, dx=0.05, n_steps=5000)  # dt/dx = 1.1
+    params = SimParams(mass=0.0, dt=0.05, n_steps=10)
     policy = dirichlet_policy(g)
-    rng = np.random.default_rng(5)
-    field = random_field(g, rng, amplitude=1e-3)
-    with pytest.raises(InstabilityError) as err:
-        for _ in range(5000):
-            step(field, g, params, policy)
-    # the step that tripped the guard left the field at the level it names
+    field = build_initial_field(g, params, policy, x0=-1.0, sigma=0.2)
+    for _ in range(3):
+        step(field, g, params, policy)
+    field.phi[0][10] = 2 * OVERFLOW_FACTOR * field.initial_max
+    with pytest.raises(InstabilityError, match="grew") as err:
+        step(field, g, params, policy)
+    assert field.time_level == 4
     assert re.search(rf"\bat step {field.time_level}\b", str(err.value))
 
 
 def test_instability_names_step_bond_and_node_class():
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=1)
     field = random_field(g, np.random.default_rng(6))
     field.time_level = 7
     # a NaN at the far end of bond 2 (outgoing: its last phi node)
@@ -305,7 +309,7 @@ def test_guard_verdicts_and_messages_on_either_row(component):
     # phi and chi share one dot product and one peak reduction; a plant in
     # either row keeps its verdict and the message that names it
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=1)
     field = random_field(g, np.random.default_rng(11))
     field.time_level = 7
     limit = OVERFLOW_FACTOR * field.initial_max
@@ -344,7 +348,7 @@ def test_guard_raises_iff_peak_exceeds_limit(data):
     # the norm bound that clears most steps must never change a verdict
     cells = data.draw(st.lists(st.integers(4, 7), min_size=2, max_size=4))
     g = build_star_graph([(1.0, 0.25 * n, 0.25) for n in cells])
-    params = SimParams(mass=0.0, dt=0.2, dx=0.25, n_steps=1)
+    params = SimParams(mass=0.0, dt=0.2, n_steps=1)
     initial_max = data.draw(st.sampled_from([0.0, 5e-324, 1e-200, 0.37, 1.0, 1e150]))
     limit = OVERFLOW_FACTOR * initial_max or sys.float_info.max
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -392,22 +396,29 @@ def test_guard_skips_exact_peak_on_a_healthy_run(canonical_config, monkeypatch):
 
 
 def test_sim_params_validation():
-    SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=10).validate()
-    with pytest.raises(ValueError, match="CFL"):
-        SimParams(mass=0.01, dt=0.025, dx=0.0125, n_steps=10).validate()
-    with pytest.raises(ValueError, match="mass"):
-        SimParams(mass=-1.0, dt=0.01, dx=0.0125, n_steps=10).validate()
-    with pytest.raises(ValueError, match="dt and dx must be positive"):
-        SimParams(mass=0.01, dt=0.0, dx=0.0125, n_steps=10).validate()
-    with pytest.raises(ValueError, match="n_steps must be non-negative, got -1"):
-        SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=-1).validate()
+    # SimParams and the kernel share one rule for mass, dt and n_steps; the
+    # CFL bound is check_cfl's, on the graph's dx
+    SimParams(mass=0.01, dt=0.01, n_steps=10).validate()
+    for args, cause in [
+        ((-1.0, 0.01, 10), r"^mass must be finite and non-negative, got -1\.0$"),
+        ((0.01, 0.0, 10), r"^dt must be finite and positive, got 0\.0$"),
+        ((0.01, 0.01, -1), r"^n_steps must be non-negative, got -1$"),
+    ]:
+        with pytest.raises(ValueError, match=cause):
+            SimParams(*args).validate()
+        with pytest.raises(ValueError, match=cause):
+            BesselKernel.build(*args)
+    check_cfl(0.0125, 0.0125)
+    with pytest.raises(ValueError, match=r"^CFL violated: dt/dx = 2\.0 exceeds 1$"):
+        check_cfl(0.025, 0.0125)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", ["mass", "dt", "dx"])
-def test_sim_params_rejects_non_finite_values(name, value):
-    params = replace(SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=10), **{name: value})
-    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+@pytest.mark.parametrize("name, sign", [("mass", "non-negative"), ("dt", "positive")],
+                         ids=["mass", "dt"])
+def test_sim_params_rejects_non_finite_values(name, sign, value):
+    params = replace(SimParams(mass=0.01, dt=0.01, n_steps=10), **{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite and {sign}, got {value}$"):
         params.validate()
 
 
@@ -432,7 +443,7 @@ def test_field_constructor_copies_and_views_are_fixed():
 
 def test_initial_field_rejects_bond_outside_domain():
     g = line_graph(length=2.0, dx=0.05)
-    params = SimParams(mass=0.0, dt=0.04, dx=0.05, n_steps=4)
+    params = SimParams(mass=0.0, dt=0.04, n_steps=4)
     with pytest.raises(ValueError, match=r"^bond must be in 1..2, got 3$"):
         build_initial_field(
             g, params, dirichlet_policy(g), x0=1.0, sigma=0.2, bond_index=3
@@ -448,7 +459,7 @@ def test_initial_field_rejects_non_finite_amplitude(amplitude, monkeypatch):
 
     monkeypatch.setattr(SpinorField, "__init__", no_field)
     g = line_graph(length=2.0, dx=0.05)
-    params = SimParams(mass=0.0, dt=0.04, dx=0.05, n_steps=4)
+    params = SimParams(mass=0.0, dt=0.04, n_steps=4)
     with pytest.raises(ValueError, match=rf"^amplitude must be finite, got {amplitude}$"):
         build_initial_field(g, params, dirichlet_policy(g), x0=-1.0, sigma=0.2,
                             amplitude=amplitude)
@@ -456,7 +467,7 @@ def test_initial_field_rejects_non_finite_amplitude(amplitude, monkeypatch):
 
 def test_step_rejects_partial_field():
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=4)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=4)
     field = SpinorField(g.bonds[:2])
     with pytest.raises(ValueError, match="field does not cover the full graph"):
         step(field, g, params, dirichlet_policy(g))
@@ -468,7 +479,7 @@ def test_step_checks_the_policy_against_the_graph(planned):
     # stale value, whether the field was planned for another policy or not
     # planned at all
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=4)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=4)
     policy = dirichlet_policy(g, VertexMode.WEIGHTED)
     if planned:
         field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
@@ -504,7 +515,7 @@ def test_initial_field_takes_one_peak(monkeypatch):
         SpinorField, "max_abs", lambda self: calls.append(1) or original(self)
     )
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=1)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=1)
     field = build_initial_field(
         g, params, dirichlet_policy(g, VertexMode.WEIGHTED), x0=-5.0, sigma=0.9
     )
@@ -514,7 +525,7 @@ def test_initial_field_takes_one_peak(monkeypatch):
 
 def test_transparent_vertex_rejects_full_graph_field():
     g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, dx=0.0125, n_steps=4)
+    params = SimParams(mass=0.01, dt=0.01, n_steps=4)
     policy = BoundaryPolicy(
         VertexMode.TRANSPARENT,
         (EndMode.DIRICHLET,) * 3,
@@ -563,7 +574,7 @@ def test_run_builds_one_step_plan(canonical_config, monkeypatch):
 
 def open_runs():
     """Transparent-end line and transparent-vertex star, each with a policy."""
-    params = SimParams(mass=0.3, dt=0.04, dx=0.05, n_steps=60)
+    params = SimParams(mass=0.3, dt=0.04, n_steps=60)
     line = line_graph(length=2.0, dx=0.05)
     star = build_star_graph([(a, 2.0, 0.05) for a in (1.0, 1.0, 1.0)])
     return params, [
@@ -618,7 +629,8 @@ def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
     params, runs = open_runs()
     graph, make_policy = runs[run_index]
     policy = make_policy()
-    if cause == "missing":  # the kernel covers levels 0..5
+    if cause == "missing":  # the kernel covers levels 0..5, the run 5 steps
+        params = replace(params, n_steps=5)
         policy = BoundaryPolicy(policy.vertex_mode, policy.end_modes,
                                 BesselKernel.build(params.mass, params.dt, 5))
     field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
@@ -804,7 +816,7 @@ def assert_run_matches_the_loop(config):
 
 
 @pytest.mark.parametrize("name", ["transparent_star.cfg", "open_line.cfg"])
-def test_run_on_two_fields_matches_a_loop_of_new_fields(name):
+def test_run_matches_a_loop_of_in_place_steps(name):
     # run steps its one field in place over a window, and a snapshot keeps
     # the values of its step after the buffers moved on
     config = load_config(CONFIG_DIR / name)

@@ -34,7 +34,7 @@ CELLS, DX, STEPS = 80, 0.05, 150
 def weighted_fields(alphas, mass, courant):
     """Every field of a closed weighted star on equal bonds, step 0 first."""
     graph = build_star_graph([(a, CELLS * DX, DX) for a in alphas])
-    params = SimParams(mass, courant * DX, DX, STEPS)
+    params = SimParams(mass, courant * DX, STEPS)
     policy = BoundaryPolicy(VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * len(alphas))
     # the packet reaches the vertex after ~30 steps at CFL 1
     field = build_initial_field(graph, params, policy, x0=-1.5, sigma=0.3,
