@@ -678,6 +678,25 @@ def test_cfl_above_one_is_rejected_before_the_first_write(run_index):
     assert field_state(field) == before
 
 
+@pytest.mark.parametrize("dt, cause", [
+    (-0.04, r"^dt must be finite and positive, got -0\.04$"),
+    (np.nan, r"^dt must be finite and positive, got nan$"),
+])
+def test_library_path_names_a_dt_that_is_not_positive(dt, cause):
+    # dt/dx of a negative dt passes the CFL bound: unchecked, the run
+    # stepped backwards in time without error, and a NaN dt ended as
+    # "non-finite field value at step 1"
+    g = line_graph(length=2.0, dx=0.05)
+    params, policy = SimParams(mass=0.3, dt=dt, n_steps=10), dirichlet_policy(g)
+    with pytest.raises(ValueError, match=cause):
+        build_initial_field(g, params, policy, x0=-1.0, sigma=0.2)
+    field = random_field(g, np.random.default_rng(8))
+    before = field_state(field)
+    with pytest.raises(ValueError, match=cause):
+        step(field, g, params, policy)
+    assert field_state(field) == before
+
+
 def test_run_rejects_a_kernel_shorter_than_the_run(monkeypatch):
     # the kernel's length is a second owner of n_steps: unchecked, run
     # stepped as far as the kernel reached and then raised
