@@ -309,9 +309,8 @@ def _history_convolution(past: _History, kernel: BesselKernel, level: int) -> co
 
 def _tbc_coefficients(kernel: BesselKernel, lam: float, factor: float = 1.0):
     """(denominator, numerator factor) of a transparent node's equation at
-    level 0 and at every later level, for lam = dt/dx and the kernel's mass
-    and dt; the newest value's multiplier is 1 at level 0 (an empty
-    interval), then 1 plus its trapezoid weight dt g_0 / 2."""
+    level 0 and at every later level, at lam = dt/dx; the newest value's
+    multiplier is 1 at level 0 (an empty interval), then 1 + dt g_0 / 2."""
     lam_a, beta = lam * factor, 0.5j * kernel.mass * kernel.dt
     endpoint = (1.0 + 0.0j, 1.0 + 0.5 * kernel.dt * kernel.conv_weights[0])
     return tuple((1.0 + lam_a * f + beta, 1.0 - lam_a * f - beta) for f in endpoint)
@@ -384,11 +383,12 @@ class _StepPlan:
     per transparent boundary, vertex first, (history key, node, adjacent cell,
     right end, factor A, coefficients); the Dirichlet end nodes; the pads;
     ``reach``, 1 + the largest vertex or transparent node.
-    Raises ValueError unless dt/dx on the graph's grid keeps the CFL bound,
-    the policy fits the graph, its kernel the params' mass and dt and at
-    least their n_steps, and the field the simulated bonds."""
+    Raises ValueError unless the params are valid with dt/dx <= 1 on the
+    graph's grid, the policy fits the graph, its kernel the params' mass,
+    dt and n_steps, and the field the simulated bonds."""
 
     def __init__(self, field, graph, params, policy) -> None:
+        params.validate()
         check_cfl(params.dt, graph.dx)
         policy.validate_for(graph)
         k = policy.kernel
@@ -465,11 +465,10 @@ def step(
     ``params`` and ``policy`` are planned once per run (by
     ``build_initial_field``, else by the first step) and kept on the field,
     so none of the three may change during a run.
-    Raises ValueError for dt/dx above the CFL bound on the graph's grid,
-    for a field whose histories are at another level (e.g. a shallow copy
-    of a field that stepped on), for a policy that does not fit the graph
-    or whose kernel does not fit the params, and MissingHistoryError past
-    the kernel; each leaves the field as it was.
+    Raises ValueError for invalid params, for dt/dx > 1, for a field whose
+    histories are at another level (a shallow copy of a field that stepped
+    on), for a policy or kernel that does not fit the graph or params, and
+    MissingHistoryError past the kernel; each leaves the field as it was.
     InstabilityError, when a value exceeds the overflow guard or is not
     finite, leaves the field at the new level, which its message names.
     """
