@@ -681,7 +681,7 @@ def test_cfl_above_one_is_rejected_before_the_first_write(run_index):
 @pytest.mark.parametrize("dt, cause", [
     (-0.04, r"^dt must be finite and positive, got -0\.04$"),
     (np.nan, r"^dt must be finite and positive, got nan$"),
-])
+], ids=["negative", "nan"])
 def test_library_path_names_a_dt_that_is_not_positive(dt, cause):
     # dt/dx of a negative dt passes the CFL bound: unchecked, the run
     # stepped backwards in time without error, and a NaN dt ended as
