@@ -473,6 +473,20 @@ def test_step_rejects_partial_field():
         step(field, g, params, dirichlet_policy(g))
 
 
+def test_step_rejects_a_field_on_another_grid():
+    # a field of 2 x 40 cells of dx 0.05 stepped with a graph of 2 x 40
+    # cells of dx 0.025: unchecked, it stepped at the graph's dt/dx = 0.8,
+    # where its own grid gives 0.4
+    coarse, fine = line_graph(length=2.0, dx=0.05), line_graph(length=1.0, dx=0.025)
+    params = SimParams(mass=0.3, dt=0.02, n_steps=10)
+    field = build_initial_field(coarse, params, dirichlet_policy(coarse),
+                                x0=-1.0, sigma=0.2)
+    before = field_state(field)
+    with pytest.raises(ValueError, match=r"^field bonds \(40 cells of dx 0\.05, "):
+        step(field, fine, params, dirichlet_policy(fine))
+    assert field_state(field) == before
+
+
 @pytest.mark.parametrize("planned", [True, False], ids=["replanned", "unplanned"])
 def test_step_checks_the_policy_against_the_graph(planned):
     # a 2-end-mode policy on a 3-bond star left bond 3's far-end phi at a
