@@ -133,9 +133,7 @@ class SpinorField:
         self.phi_buf, self.chi_buf = phi_buf, chi_buf
         self.phi = tuple(phi_buf[p] for p, _ in self._cuts)
         self.chi = tuple(chi_buf[c] for _, c in self._cuts)
-        # a window [0, hi) outside which every slot is +0, which only run
-        # sets; None steps every slot
-        self._hi, self._last = None, (0, ())
+        self._last = 0, ()
 
     def _window(self, w: int) -> tuple:
         """The stencil operands of slots [0, w), kept for the last w asked:
@@ -382,7 +380,10 @@ class _StepPlan:
     cells beside them, the weights and W (None for a transparent vertex);
     per transparent boundary, vertex first, (history key, node, adjacent cell,
     right end, factor A, coefficients); the Dirichlet end nodes; the pads;
-    ``reach``, 1 + the largest vertex or transparent node.
+    ``reach``, 1 + the largest vertex or transparent node; ``start``, None
+    (every slot) unless ``run`` sets its window on a plan keyed to its own
+    SimParams, which no caller holds: a step on ``result.field`` or its
+    copy plans again and covers every slot.
     Raises ValueError unless the params are valid with dt/dx <= 1 on the
     graph's grid, the policy fits the graph, its kernel the params' mass,
     dt and n_steps, and the field the simulated bonds."""
@@ -402,13 +403,12 @@ class _StepPlan:
                 raise ValueError(
                     f"kernel covers {n} steps, but the run has {params.n_steps}")
         interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
-        if interior_only and field.n_bonds != 1:
-            raise ValueError(
-                "transparent vertex mode applies to a bond-1-only field; "
-                f"got {field.n_bonds} bonds"
-            )
-        if not interior_only and field.n_bonds != graph.n_bonds:
-            raise ValueError("field does not cover the full graph")
+        simulated = graph.bonds[:1] if interior_only else graph.bonds
+        if field.bonds != simulated:
+            grid = [", ".join(f"{b.cells} cells of dx {b.dx!r}" for b in bs)
+                    for bs in (field.bonds, simulated)]
+            raise ValueError("field bonds ({}) are not the simulated bonds ({})"
+                             .format(*grid))
         self.graph, self.params, self.policy = graph, params, policy
         self.lam = params.dt / graph.dx
         self.two_lam = 2.0 * self.lam
@@ -419,7 +419,7 @@ class _StepPlan:
         alphas = np.asarray(graph.alphas if weighted else [1.0] * graph.n_bonds, float)
         w_all = np.sum(1.0 / alphas ** 2)
         factor = vertex_tbc_factor(graph.alphas) if interior_only else None
-        pads = [k - 1 for k in accumulate(b.cells + 1 for b in field.bonds)]
+        pads = [p.stop - 1 for p, _ in field._cuts]
         nodes = [pads[0], *(k + 1 for k in pads[:-1])]
         cells = [nodes[0] - 1, *nodes[1:]]
         # Python floats: numpy divides a complex scalar by one with the bits
@@ -439,7 +439,7 @@ class _StepPlan:
             (*e, _tbc_coefficients(policy.kernel, self.lam, e[4])) for e in ends
         ]
         junctions = [*(self.vertex[0] if self.vertex else ()), *(e[1] for e in ends)]
-        self.reach = 1 + max(junctions, default=-1)
+        self.reach, self.start = 1 + max(junctions, default=-1), None
 
 
 def step(
@@ -457,11 +457,11 @@ def step(
     transparent and wall nodes are written, and the chi stencil overwrites
     the cells from the new phi.  A stencil reads each slot's old value
     where it writes the new one, so the bits are those of a step into
-    another field.  Inside ``run`` the stencils cover only a window of the
-    slots the packet can have reached, one slot wider each step: beyond it
-    the field holds +0, which is what a full stencil makes of +0 inputs (at
-    m = 0 too), so the bits are those of a full step.  A field that ``run``
-    does not step steps every slot.  The constants of ``graph``,
+    another field.  On the plan of a ``run`` the stencils cover only the
+    slots the packet can have reached, [0, start + level + 2) rounded up to
+    64 slots: beyond them the field holds +0, which is what a full stencil
+    makes of +0 inputs (at m = 0 too), so the bits are those of a full
+    step.  Every other plan covers every slot.  The constants of ``graph``,
     ``params`` and ``policy`` are planned once per run (by
     ``build_initial_field``, else by the first step) and kept on the field,
     so none of the three may change during a run.
@@ -504,12 +504,11 @@ def step(
             plan.two_lam, coefficients, right_end, factor,
         )))
 
-    # one stencil per component over all bonds, or in a run over [0, w):
-    # the new values reach at most slot hi, and the stencils write slots up
-    # to w - 2; the vertex and end updates and the pad reset overwrite the
-    # throwaway values beside each junction
-    hi, n = field._hi, len(phi)
-    w = n if hi is None else min(n, -(-(hi + 2) // _CHUNK) * _CHUNK)
+    # one stencil per component over all bonds, or in a run over [0, w), whose
+    # writes reach slot start + level; the vertex and end updates and the pad
+    # reset overwrite the throwaway values beside each junction
+    n, start = len(phi), plan.start
+    w = n if start is None else min(n, -(-(start + level + 2) // _CHUNK) * _CHUNK)
     inner, cells_w, chi_hi, chi_lo, phi_hi, phi_lo, d, d_in, inner_f, cells_f = (
         field._window(w))
     _stencil(inner, inner_f, plan.cm, inner, plan.lam, chi_hi, chi_lo, plan.by_cp, d_in)
@@ -524,7 +523,6 @@ def step(
     for k in plan.pads:
         chi[k] = 0.0
     field.time_level, field._plan = level + 1, plan
-    field._hi = None if hi is None else hi + 1
     _check_stability(field, params)
     return field
 
@@ -609,9 +607,10 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
     n dt.  ``policy`` defaults to ``config.build_policy()``; runs with the
     same boundary modes, mass, dt and n_steps may share one.  The run
     steps one field in place, over the window of slots that the packet can
-    have reached (see ``step``): the source bond and the vertex and
-    transparent nodes, one slot wider each step.  The returned field has no
-    window.  Step instability propagates.
+    have reached (see ``step``): it sets the window's ``start`` once, on
+    the plan of its own params, past the source bond and the vertex and
+    transparent nodes, so a step on the returned field covers every slot.
+    Step instability propagates.
     """
     from .diagnostics import compute_record, node_profile
 
@@ -646,10 +645,10 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
                 )
 
     # only the packet's bond and the junctions hold values that are not +0
-    field._hi = max(field._cuts[config.source_bond - 1][0].stop, field._plan.reach)
+    plan = field._plan
+    plan.start = max(field._cuts[config.source_bond - 1][0].stop, plan.reach)
     observe(0)
     for n in range(1, params.n_steps + 1):
         step(field, graph, params, policy)
         observe(n)
-    field._hi = None  # a caller may write anywhere into the field it gets
     return RunResult(records, snapshots, graph, field)
