@@ -358,8 +358,10 @@ def test_guard_raises_iff_peak_exceeds_limit(data):
     cells = data.draw(st.lists(st.integers(4, 7), min_size=2, max_size=4))
     g = build_star_graph([(1.0, 0.25 * n, 0.25) for n in cells])
     params = SimParams(mass=0.0, dt=0.2, n_steps=1)
-    initial_max = data.draw(st.sampled_from([0.0, 5e-324, 1e-200, 0.37, 1.0, 1e150]))
-    limit = OVERFLOW_FACTOR * initial_max or sys.float_info.max
+    # at 1e303 the limit would overflow to inf, which no value exceeds
+    initial_max = data.draw(
+        st.sampled_from([0.0, 5e-324, 1e-200, 0.37, 1.0, 1e150, 1e303]))
+    limit = min(OVERFLOW_FACTOR * initial_max, sys.float_info.max) or sys.float_info.max
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     scale = data.draw(st.sampled_from([0.0, 1e-3, 0.3])) * min(limit, 1.0)
     arrays = [
