@@ -535,8 +535,9 @@ def _check_stability(field: SpinorField, params: SimParams) -> None:
     and the +0 gaps between them.  NaN, inf and overflow fail that bound,
     and only then is the exact peak computed.
     """
-    # a zero initial field is guarded against non-finite values only
-    limit = OVERFLOW_FACTOR * field.initial_max or sys.float_info.max
+    # a zero initial field, or one within the factor of the largest float,
+    # is guarded against non-finite values only
+    limit = min(OVERFLOW_FACTOR * field.initial_max or math.inf, sys.float_info.max)
     # below 1e-150, squares of values near the limit could underflow
     if limit >= 1e-150:
         state = field._state
