@@ -754,6 +754,26 @@ def test_stepping_a_field_twice_is_rejected():
             step(older, graph, params, policy)
 
 
+@pytest.mark.parametrize("make_copy", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_copy_module_makes_the_copy_method_makes(make_copy):
+    # unchecked, a shallow copy of a closed run stepped the shared buffers
+    # twice without error, and a deep copy's per-bond views kept reading
+    # its start state while its buffers stepped on
+    params, runs = open_runs()
+    line = line_graph(length=2.0, dx=0.05)
+    for graph, make_policy in [(line, lambda: dirichlet_policy(line)), *runs]:
+        policy = make_policy()
+        field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+        twin, alone = make_copy(field), field.copy()
+        for _ in range(10):
+            for f in (field, twin, alone):
+                step(f, graph, params, policy)
+        for f in (field, twin):
+            assert f.time_level == 10
+            for a, b in zip(f.phi + f.chi, alone.phi + alone.chi):
+                assert np.array_equal(a, b)
+
+
 def test_copied_field_steps_on_its_own():
     params, runs = open_runs()
     for graph, make_policy in runs:
