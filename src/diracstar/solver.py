@@ -115,7 +115,8 @@ class SpinorField:
     just bond 1 for a transparent-vertex interior run.  ``histories`` maps
     each transparent boundary ('vertex', 'end<j>') to its past boundary
     values, one per time level.  ``step`` advances the field in place and
-    appends to them; ``copy`` keeps a level, with histories of its own.
+    appends to them; ``copy`` keeps a level, with buffers and histories of
+    its own, and ``copy.copy`` and ``copy.deepcopy`` make that copy.
     """
 
     def __init__(self, bonds: tuple[Bond, ...]) -> None:
@@ -160,6 +161,11 @@ class SpinorField:
         twin.time_level, twin.initial_max = self.time_level, self.initial_max
         twin._plan, twin.histories = self._plan, copy.deepcopy(self.histories)
         return twin
+
+    __copy__ = copy
+
+    def __deepcopy__(self, memo) -> "SpinorField":
+        return self.copy()
 
 
 def check_packet(x0: float, sigma: float, bond: Bond) -> None:

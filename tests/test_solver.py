@@ -650,22 +650,22 @@ def field_state(field):
 def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
     # every check comes before the first write: a policy that does not fit
     # the graph, a kernel that does not fit the params, a history at
-    # another level (a shallow copy, whose histories its original stepped
-    # on) and a level past the kernel, on runs with two transparent
-    # boundaries whose histories hold 5 entries
+    # another level (end 1 made transparent after 5 steps with a wall) and
+    # a level past the kernel, on runs whose transparent boundaries' (two,
+    # or one for the level) histories hold 5 entries
     params, runs = open_runs()
     graph, make_policy = runs[run_index]
-    policy = make_policy()
+    policy = start = make_policy()
     if cause == "missing":  # the kernel covers levels 0..5, the run 5 steps
         params = replace(params, n_steps=5)
-        policy = BoundaryPolicy(policy.vertex_mode, policy.end_modes,
-                                BesselKernel.build(params.mass, params.dt, 5))
-    field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
-    for _ in range(5):
-        field = step(field, graph, params, policy)
+        policy = start = BoundaryPolicy(policy.vertex_mode, policy.end_modes,
+                                        BesselKernel.build(params.mass, params.dt, 5))
     if cause == "level":
-        field, newer = copy.copy(field), field
-        step(newer, graph, params, policy)
+        start = BoundaryPolicy(policy.vertex_mode,
+                               (EndMode.DIRICHLET, *policy.end_modes[1:]), policy.kernel)
+    field = build_initial_field(graph, params, start, x0=-1.0, sigma=0.2)
+    for _ in range(5):
+        field = step(field, graph, params, start)
     args, error = {
         "policy": ((graph, params, BoundaryPolicy(
             policy.vertex_mode, policy.end_modes[:-1], policy.kernel)), ValueError),
@@ -676,7 +676,7 @@ def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
     if cause == "missing":
         field = step(field, *args)  # level 5, the kernel's last
     before = field_state(field)
-    assert len(before[3]) == 2 and all(before[3].values())
+    assert len(before[3]) == 2 - (cause == "level") and all(before[3].values())
     with pytest.raises(error):
         step(field, *args)
     assert field_state(field) == before
@@ -739,19 +739,21 @@ def test_run_rejects_a_kernel_shorter_than_the_run(monkeypatch):
     assert steps == []
 
 
-def test_stepping_a_field_twice_is_rejected():
-    # a shallow copy shares the arena and the histories, which its original
-    # stepped on, but keeps the old time level
+def test_a_field_stepped_with_other_boundary_modes_is_rejected():
+    # a transparent end that the run did not start with has no history of
+    # the levels the field has stepped
     params, runs = open_runs()
-    for (graph, make_policy), key in zip(runs, ("end1", "vertex")):
+    for graph, make_policy in runs:
         policy = make_policy()
-        field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
-        older = copy.copy(field)
-        step(field, graph, params, policy)
+        walls = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET,) * graph.n_bonds,
+                               policy.kernel)
+        field = build_initial_field(graph, params, walls, x0=-1.0, sigma=0.2)
+        for _ in range(5):
+            step(field, graph, params, walls)
         with pytest.raises(
-            ValueError, match=rf"history '{key}' has 1 entries at time level 0"
+            ValueError, match=r"^history 'end1' has 0 entries at time level 5: "
         ):
-            step(older, graph, params, policy)
+            step(field, graph, params, policy)
 
 
 @pytest.mark.parametrize("make_copy", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
