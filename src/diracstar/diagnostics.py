@@ -108,7 +108,7 @@ def transmitted_fractions(
     if len(record.partial_norms) < 2:
         raise ValueError("transmitted fractions need at least one outgoing bond")
     if record.total_norm <= 0:
-        raise ValueError("reflection coefficient undefined for zero total norm")
+        raise ValueError("transmitted fractions undefined for zero total norm")
     r = record.reflection
     if r > threshold:
         raise ValueError(
