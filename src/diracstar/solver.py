@@ -472,9 +472,10 @@ def step(
     ``build_initial_field``, else by the first step) and kept on the field,
     so none of the three may change during a run.
     Raises ValueError for invalid params, for dt/dx > 1, for a field whose
-    histories are at another level (a shallow copy of a field that stepped
-    on), for a policy or kernel that does not fit the graph or params, and
-    MissingHistoryError past the kernel; each leaves the field as it was.
+    bonds are not the simulated ones or whose histories are at another
+    level (an end made transparent mid-run), for a policy or kernel that
+    does not fit the graph or params, and MissingHistoryError past the
+    kernel; each leaves the field as it was.
     InstabilityError, when a value exceeds the overflow guard or is not
     finite, leaves the field at the new level, which its message names.
     """
@@ -541,8 +542,8 @@ def _check_stability(field: SpinorField, params: SimParams) -> None:
     and the +0 gaps between them.  NaN, inf and overflow fail that bound,
     and only then is the exact peak computed.
     """
-    # a zero initial field, or one within the factor of the largest float,
-    # is guarded against non-finite values only
+    # with a zero initial field, or a limit past the largest float, only
+    # non-finite values trip
     limit = min(OVERFLOW_FACTOR * field.initial_max or math.inf, sys.float_info.max)
     # below 1e-150, squares of values near the limit could underflow
     if limit >= 1e-150:
