@@ -411,7 +411,8 @@ class _StepPlan:
         interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
         simulated = graph.bonds[:1] if interior_only else graph.bonds
         if field.bonds != simulated:
-            grid = [", ".join(f"{b.cells} cells of dx {b.dx!r}" for b in bs)
+            grid = ["; ".join(f"bond {b.index}: {b.cells} cells of dx {b.dx!r}, "
+                              f"alpha {b.alpha!r}" for b in bs)
                     for bs in (field.bonds, simulated)]
             raise ValueError("field bonds ({}) are not the simulated bonds ({})"
                              .format(*grid))

@@ -39,10 +39,11 @@ from .oracles import gaussian, run_loop_reference
 def bonds_message(field_bonds, simulated_bonds):
     """The step plan's message for a field whose bonds are not simulated."""
     field_grid, simulated_grid = (
-        ", ".join(f"{n} cells of dx {dx!r}" for n, dx in bonds)
+        "; ".join(f"bond {b.index}: {b.cells} cells of dx {b.dx!r}, alpha {b.alpha!r}"
+                  for b in bonds)
         for bonds in (field_bonds, simulated_bonds))
-    return re.escape(f"field bonds ({field_grid}) are not the simulated bonds "
-                     f"({simulated_grid})")
+    return "^" + re.escape(f"field bonds ({field_grid}) are not the simulated bonds "
+                           f"({simulated_grid})") + "$"
 
 
 def line_graph(length=20.0, dx=0.0125):
@@ -480,8 +481,7 @@ def test_step_rejects_partial_field():
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, n_steps=4)
     field = SpinorField(g.bonds[:2])
-    with pytest.raises(ValueError, match=bonds_message([(1600, 0.0125)] * 2,
-                                                       [(1600, 0.0125)] * 3)):
+    with pytest.raises(ValueError, match=bonds_message(g.bonds[:2], g.bonds)):
         step(field, g, params, dirichlet_policy(g))
 
 
@@ -494,7 +494,7 @@ def test_step_rejects_a_field_on_another_grid():
     field = build_initial_field(coarse, params, dirichlet_policy(coarse),
                                 x0=-1.0, sigma=0.2)
     before = field_state(field)
-    with pytest.raises(ValueError, match=bonds_message([(40, 0.05)] * 2, [(40, 0.025)] * 2)):
+    with pytest.raises(ValueError, match=bonds_message(coarse.bonds, fine.bonds)):
         step(field, fine, params, dirichlet_policy(fine))
     assert field_state(field) == before
 
@@ -558,8 +558,7 @@ def test_transparent_vertex_rejects_full_graph_field():
         kernel=BesselKernel.build(0.01, 0.01, 4),
     )
     field = SpinorField(g.bonds)
-    with pytest.raises(ValueError, match=bonds_message([(1600, 0.0125)] * 3,
-                                                       [(1600, 0.0125)])):
+    with pytest.raises(ValueError, match=bonds_message(g.bonds, g.bonds[:1])):
         step(field, g, params, policy)
 
 
