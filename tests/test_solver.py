@@ -894,9 +894,9 @@ def test_run_matches_a_loop_of_in_place_steps(name):
 
 
 def test_a_field_from_run_steps_every_slot():
-    # run steps over a window of the slots its packet can have reached and
-    # clears it on the field it returns: a value written far beyond that
-    # window is stepped as on a copy, which never had a window
+    # run's window lives on a plan keyed to run's own params, so a step on
+    # the field it returns plans again: a value written far beyond that
+    # window is stepped, as on a copy
     config = replace(load_config(CONFIG_DIR / "transparent_star.cfg"),
                      n_steps=20, snapshot_times=())
     result = run(config)
