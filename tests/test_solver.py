@@ -755,6 +755,25 @@ def test_a_field_stepped_with_other_boundary_modes_is_rejected():
             step(field, graph, params, policy)
 
 
+@pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
+def test_a_field_stepped_on_with_walls_is_rejected(run_index):
+    # the reverse switch: unchecked, 5 transparent steps and then steps with
+    # walls ran silently and left the transparent ends' histories 5 levels
+    # behind the field
+    params, runs = open_runs()
+    graph, make_policy = runs[run_index]
+    policy = make_policy()
+    walls = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET,) * graph.n_bonds,
+                           policy.kernel)
+    field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
+    for _ in range(5):
+        step(field, graph, params, policy)
+    before = field_state(field)
+    with pytest.raises(ValueError, match=r"^field at time level 5 holds histories "):
+        step(field, graph, params, walls)
+    assert field_state(field) == before
+
+
 @pytest.mark.parametrize("make_copy", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
 def test_copy_module_makes_the_copy_method_makes(make_copy):
     # unchecked, a shallow copy of a closed run stepped the shared buffers
