@@ -113,10 +113,11 @@ class SpinorField:
     After n accepted steps the stored phi sits at t = (n - 1/2) dt and chi
     at t = n dt.  ``bonds`` is the simulated domain: all graph bonds, or
     just bond 1 for a transparent-vertex interior run.  ``histories`` maps
-    each transparent boundary ('vertex', 'end<j>') to its past boundary
-    values, one per time level.  ``step`` advances the field in place and
-    appends to them; ``copy`` keeps a level, with buffers and histories of
-    its own, and ``copy.copy`` and ``copy.deepcopy`` make that copy.
+    each transparent boundary ('vertex', 'end<j>') to a zeroed array of the
+    kernel's length, whose entry k the step from level k writes.  ``step``
+    advances the field in place; ``copy`` keeps a level, with buffers and
+    histories of its own, and ``copy.copy`` and ``copy.deepcopy`` make that
+    copy.
     """
 
     def __init__(self, bonds: tuple[Bond, ...]) -> None:
@@ -270,39 +271,16 @@ def build_initial_field(
 
 
 class MissingHistoryError(ValueError):
-    """Raised when a convolution is requested beyond the recorded history."""
+    """Raised when a step's level passes the levels the kernel covers."""
 
 
-class _History:
-    """Boundary values in a complex numpy array of ``capacity`` entries.
-
-    The first value is stored halved, taking the trapezoid's half weight
-    off the kernel (exact above 2^-1021, so the sums round the same).
-    Indexing sees the filled part only; a slice is a view, read as is.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self._data = np.empty(capacity, dtype=complex)
-        self._size = 0
-
-    def append(self, value: complex) -> None:
-        self._data[self._size] = value if self._size else 0.5 * value
-        self._size += 1
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index):
-        return self._data[: self._size][index]
-
-
-def _history_convolution(past: _History, kernel: BesselKernel, level: int) -> complex:
+def _history_convolution(past: np.ndarray, kernel: BesselKernel, level: int) -> complex:
     """Trapezoid convolution over the strictly-past history entries.
 
-    ``past`` holds the boundary values at levels 0..level-1, the first one
-    halved.  Returns dt * (g_level h_0 / 2 + sum_{k=1}^{level-1} g_{level-k}
-    h_k) where g are the kernel convolution weights; zero at level 0 (empty
-    time interval).
+    ``past[k]`` is the boundary value at level k, the first one halved;
+    entries from ``level`` on are not read.  Returns dt * (g_level h_0 / 2
+    + sum_{k=1}^{level-1} g_{level-k} h_k) where g are the kernel
+    convolution weights; zero at level 0 (empty time interval).
     """
     n = len(kernel.reversed_weights) - 1
     if level > n:
@@ -321,7 +299,7 @@ def _tbc_coefficients(kernel: BesselKernel, lam: float, factor: float = 1.0):
 
 
 def _solve_tbc_node(
-    q: complex, chi_adj: complex, history: _History, kernel: BesselKernel,
+    q: complex, chi_adj: complex, history: np.ndarray, kernel: BesselKernel,
     level: int, two_lam: float, coefficients: tuple, right_end: bool,
     factor: float = 1.0,
 ) -> complex:
@@ -331,9 +309,9 @@ def _solve_tbc_node(
     half-cell update of the boundary phi node; the newest boundary value
     enters its own convolution through the trapezoid endpoint, so the two
     relations reduce to one linear equation for the new phi value, with the
-    ``coefficients`` of ``_tbc_coefficients``.  The new entry is appended
-    to ``history``, which stores its first entry halved: the trapezoid's
-    half weight on the oldest value.
+    ``coefficients`` of ``_tbc_coefficients``.  The new entry is written
+    at ``history[level]``, halved at level 0: the trapezoid's half weight
+    on the oldest value (exact above 2^-1021, so the sums round the same).
     """
     denom, scale = coefficients[level > 0]
     tail = _history_convolution(history, kernel, level)
@@ -343,7 +321,8 @@ def _solve_tbc_node(
     else:
         numer -= two_lam * (chi_adj + factor * tail)
     p = numer / denom
-    history.append(0.5 * (p + q))
+    entry = 0.5 * (p + q)
+    history[level] = entry if level else 0.5 * entry
     return p
 
 
@@ -392,7 +371,10 @@ class _StepPlan:
     copy plans again and covers every slot.
     Raises ValueError unless the params are valid with dt/dx <= 1 on the
     graph's grid, the policy fits the graph, its kernel the params' mass,
-    dt and n_steps, and the field the simulated bonds."""
+    dt and n_steps, and the field the simulated bonds and, past level 0,
+    one history of the kernel's length per transparent boundary and no
+    other; the step from level 0 sets a field's histories with its plan,
+    so a plan the field keeps still fits them."""
 
     def __init__(self, field, graph, params, policy) -> None:
         params.validate()
@@ -445,6 +427,13 @@ class _StepPlan:
         self.transparent = [
             (*e, _tbc_coefficients(policy.kernel, self.lam, e[4])) for e in ends
         ]
+        have = {key: len(h) for key, h in field.histories.items()}
+        want = {e[0]: len(k.reversed_weights) for e in ends}
+        if field.time_level and have != want:
+            raise ValueError(
+                f"field at time level {field.time_level} holds histories {have}, but "
+                f"the policy's transparent boundaries need {want}: a field keeps "
+                "the boundary modes and the kernel length it started with")
         junctions = [*(self.vertex[0] if self.vertex else ()), *(e[1] for e in ends)]
         self.reach, self.start = 1 + max(junctions, default=-1), None
 
@@ -457,14 +446,15 @@ def step(
 ) -> SpinorField:
     """Advance ``field`` one time step in place and return it.
 
-    Every check comes first: the step plan, and the level of each boundary
-    history.  Then the vertex's new shared value and each transparent
-    node's new value, with its history entry, are computed from the old
-    level.  The phi stencil then overwrites the inner nodes, the vertex,
-    transparent and wall nodes are written, and the chi stencil overwrites
-    the cells from the new phi.  A stencil reads each slot's old value
-    where it writes the new one, so the bits are those of a step into
-    another field.  On the plan of a ``run`` the stencils cover only the
+    Every check comes first, in the step plan; a step from level 0 then
+    gives the field a zeroed history of the kernel's length per transparent
+    boundary.  The vertex's new shared value and each transparent node's
+    new value, with its history entry at the old level, are computed from
+    the old level.  The phi stencil then overwrites the inner nodes, the
+    vertex, transparent and wall nodes are written, and the chi stencil
+    overwrites the cells from the new phi.  A stencil reads each slot's old
+    value where it writes the new one, so the bits are those of a step
+    into another field.  On the plan of a ``run`` the stencils cover only the
     slots the packet can have reached, [0, start + level + 2) rounded up to
     64 slots: beyond them the field holds +0, which is what a full stencil
     makes of +0 inputs (at m = 0 too), so the bits are those of a full
@@ -473,10 +463,10 @@ def step(
     ``build_initial_field``, else by the first step) and kept on the field,
     so none of the three may change during a run.
     Raises ValueError for invalid params, for dt/dx > 1, for a field whose
-    bonds are not the simulated ones or whose histories are at another
-    level (an end made transparent mid-run), for a policy or kernel that
-    does not fit the graph or params, and MissingHistoryError past the
-    kernel; each leaves the field as it was.
+    bonds are not the simulated ones or whose histories are not the plan's
+    (a boundary mode changed mid-run), for a policy or kernel that does not
+    fit the graph or params, and MissingHistoryError past the kernel; each
+    leaves the field as it was.
     InstabilityError, when a value exceeds the overflow guard or is not
     finite, leaves the field at the new level, which its message names.
     """
@@ -486,13 +476,9 @@ def step(
         plan = _StepPlan(field, graph, params, policy)
     phi, chi = field.phi_buf, field.chi_buf
     level = field.time_level
-    for key, *_ in plan.transparent:
-        if (size := len(field.histories.get(key, ()))) != level:
-            raise ValueError(
-                f"history '{key}' has {size} entries at time level {level}: "
-                "step only the newest level of a run, with the boundary "
-                "modes it started with"
-            )
+    if level == 0:
+        field.histories = {key: np.zeros(len(policy.kernel.reversed_weights), complex)
+                           for key, *_ in plan.transparent}
 
     if plan.vertex is not None:
         nodes, cells, alphas, w_all = plan.vertex
@@ -503,12 +489,8 @@ def step(
         shared_new = (plan.cm * shared_old + plan.two_lam * flux / w_all) / plan.cp
     ends = []
     for key, node, cell, right_end, factor, coefficients in plan.transparent:
-        # made on the first step, with room for every level the kernel covers
-        history = field.histories.get(key)
-        if history is None:
-            history = field.histories[key] = _History(len(policy.kernel.reversed_weights))
         ends.append((node, _solve_tbc_node(
-            phi[node], chi[cell], history, policy.kernel, level,
+            phi[node], chi[cell], field.histories[key], policy.kernel, level,
             plan.two_lam, coefficients, right_end, factor,
         )))
 

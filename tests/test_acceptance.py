@@ -171,7 +171,8 @@ def test_criterion_07_massless_collapse(canonical_config):
     # history tail vanishes, so chi = +/- phi at the ends and chi = A phi
     # at the vertex
     for k, h in histories:
-        assert len(h) == 400
+        # levels 0..399 written, level 400 (the kernel's last) still +0
+        assert len(h) == 401 and h[400:].tobytes() == bytes(16)
         # the newest value's multiplier at every level >= 1 (1 at level 0)
         assert 1.0 + 0.5 * k.dt * k.conv_weights[0] == 1
         for t in range(400):

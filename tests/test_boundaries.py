@@ -20,7 +20,7 @@ from diracstar import (
     vertex_tbc_factor,
 )
 from diracstar import solver
-from diracstar.solver import _History, _history_convolution, _vertex_shared_value
+from diracstar.solver import _history_convolution, _vertex_shared_value
 
 from .conftest import CANONICAL_ALPHAS, CONFIG_DIR
 from .oracles import trapezoid_convolution
@@ -54,10 +54,8 @@ def random_history(rng, n):
 
 
 def buffer_of(values):
-    history = _History(len(values))
-    for v in values:
-        history.append(v)
-    return history
+    """The history a step writes of ``values``: the first one halved."""
+    return np.array([0.5 * values[0], *values[1:]], complex)
 
 
 def assert_local_relation(kernel, sign, factor, seed):
@@ -70,7 +68,7 @@ def assert_local_relation(kernel, sign, factor, seed):
     lam = MASSLESS.dt / DX
     first, later = solver._tbc_coefficients(kernel, lam, factor)
     assert later == first  # the newest value's multiplier stays 1
-    history = _History(len(kernel.reversed_weights))
+    history = np.zeros(len(kernel.reversed_weights), complex)
     for level in range(20):
         assert _history_convolution(history, kernel, level) == 0
         q, chi_adj = (complex(v) for v in random_history(rng, 2))
@@ -83,7 +81,7 @@ def assert_local_relation(kernel, sign, factor, seed):
         )
         assert p == pytest.approx(expected, rel=1e-14, abs=0)
         entry = 0.5 * (p + q)
-        assert history[-1] == (entry if level else 0.5 * entry)
+        assert history[level] == (entry if level else 0.5 * entry)
 
 
 def test_massless_right_end_is_identity(kernel_massless):
@@ -110,7 +108,7 @@ def test_left_end_is_minus_right_end(kernel_massive):
     # right end's node value and history, bit-exactly
     rng = np.random.default_rng(11)
     room = len(kernel_massive.reversed_weights)
-    h_left, h_right = _History(room), _History(room)
+    h_left, h_right = np.zeros(room, complex), np.zeros(room, complex)
     for level in range(30):
         q, chi_adj = (complex(v) for v in random_history(rng, 2))
         left = _solve_tbc_node(
@@ -120,7 +118,7 @@ def test_left_end_is_minus_right_end(kernel_massive):
             q, -chi_adj, h_right, kernel_massive, level, MASSIVE, right_end=True
         )
         assert left == right
-    assert np.array_equal(h_left[:], h_right[:])
+    assert np.array_equal(h_left, h_right)
 
 
 def test_history_linearity(kernel_massive):
@@ -151,22 +149,6 @@ def test_missing_history_signalled():
         field = step(field, line, params, policy)
     with pytest.raises(MissingHistoryError):
         step(field, line, params, policy)
-
-
-def test_history_buffer_matches_list():
-    # filled to its capacity, the buffer keeps the appended values, the
-    # first one halved
-    rng = np.random.default_rng(13)
-    n = 197
-    values = random_history(rng, n)
-    buf = buffer_of(values)
-    stored = [0.5 * values[0]] + values[1:]
-    assert len(buf) == n
-    for start, stop, stride in ((None, None, None), (0, 1, None), (None, -1, None),
-                                (5, n - 7, 3), (-20, None, 2), (None, None, -1)):
-        sl = slice(start, stop, stride)
-        assert list(buf[sl]) == stored[sl]
-    assert buf[-1] == values[-1] and buf[0] == 0.5 * values[0]
 
 
 def test_convolution_rounds_as_the_copied_half_weight():

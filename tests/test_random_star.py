@@ -218,8 +218,8 @@ def assert_junctions(old, new, graph, policy):
     for key, (j, k) in nodes.items():
         if key in new.histories:
             entry = 0.5 * (new.phi[j][k] + old.phi[j][k])
-            h = new.histories[key]
-            assert h[-1] == (entry if len(h) > 1 else 0.5 * entry)
+            level = old.time_level
+            assert new.histories[key][level] == (entry if level else 0.5 * entry)
         elif key != "vertex":
             assert new.phi[j][k].tobytes() == bytes(16)
 

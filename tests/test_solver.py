@@ -750,27 +750,33 @@ def test_a_field_stepped_with_other_boundary_modes_is_rejected():
         for _ in range(5):
             step(field, graph, params, walls)
         with pytest.raises(
-            ValueError, match=r"^history 'end1' has 0 entries at time level 5: "
+            ValueError, match=r"^field at time level 5 holds histories \{.*'end1': 61"
         ):
             step(field, graph, params, policy)
 
 
+@pytest.mark.parametrize("switch", ["walls", "longer_kernel"])
 @pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
-def test_a_field_stepped_on_with_walls_is_rejected(run_index):
+def test_a_field_stepped_on_with_walls_or_a_longer_kernel_is_rejected(run_index, switch):
     # the reverse switch: unchecked, 5 transparent steps and then steps with
     # walls ran silently and left the transparent ends' histories 5 levels
-    # behind the field
+    # behind the field; and a kernel longer than the one the histories were
+    # made for stepped once more, then raised IndexError
     params, runs = open_runs()
     graph, make_policy = runs[run_index]
     policy = make_policy()
-    walls = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET,) * graph.n_bonds,
-                           policy.kernel)
+    modes = policy.end_modes
+    if switch == "walls":
+        modes, kernel = (EndMode.DIRICHLET,) * graph.n_bonds, policy.kernel
+    else:
+        kernel = BesselKernel.build(params.mass, params.dt, 2 * params.n_steps)
+    other = BoundaryPolicy(policy.vertex_mode, modes, kernel)
     field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
     for _ in range(5):
         step(field, graph, params, policy)
     before = field_state(field)
     with pytest.raises(ValueError, match=r"^field at time level 5 holds histories "):
-        step(field, graph, params, walls)
+        step(field, graph, params, other)
     assert field_state(field) == before
 
 
@@ -807,7 +813,9 @@ def test_copied_field_steps_on_its_own():
             twin = step(twin, graph, params, policy)
         for a, b in zip(field.phi + field.chi, twin.phi + twin.chi):
             assert np.array_equal(a, b)
-        assert all(len(h) == 60 for h in twin.histories.values())
+        for key, h in twin.histories.items():
+            assert h is not field.histories[key] and len(h) == 61
+            assert h.tobytes() == field.histories[key].tobytes()
 
 
 # ------------------------------------------------------------------ run loop
@@ -910,6 +918,10 @@ def test_run_matches_a_loop_of_in_place_steps(name):
     result = assert_run_matches_the_loop(config)
     assert len(result.records) == 1 + 300 // config.sample_every
     assert len(result.snapshots) == 4 * result.field.n_bonds
+    # each history has the kernel's length, levels 0..300, and holds +0
+    # from the field's level on
+    for h in result.field.histories.values():
+        assert len(h) == 301 and h[300:].tobytes() == bytes(16)
 
 
 def test_a_field_from_run_steps_every_slot():
