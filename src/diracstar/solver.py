@@ -464,9 +464,9 @@ def step(
     so none of the three may change during a run.
     Raises ValueError for invalid params, for dt/dx > 1, for a field whose
     bonds are not the simulated ones or whose histories are not the plan's
-    (a boundary mode changed mid-run), for a policy or kernel that does not
-    fit the graph or params, and MissingHistoryError past the kernel; each
-    leaves the field as it was.
+    (a boundary mode or the kernel's length changed mid-run), for a policy
+    or kernel that does not fit the graph or params, and MissingHistoryError
+    past the kernel; each leaves the field as it was.
     InstabilityError, when a value exceeds the overflow guard or is not
     finite, leaves the field at the new level, which its message names.
     """

@@ -648,10 +648,11 @@ def field_state(field):
 @pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
 def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
     # every check comes before the first write: a policy that does not fit
-    # the graph, a kernel that does not fit the params, a history at
-    # another level (end 1 made transparent after 5 steps with a wall) and
-    # a level past the kernel, on runs whose transparent boundaries' (two,
-    # or one for the level) histories hold 5 entries
+    # the graph, a kernel that does not fit the params, a missing history
+    # (end 1 made transparent after 5 steps with a wall) and a level past
+    # the kernel, on fields at level 5 (6 for the last) whose transparent
+    # boundaries' histories (two, or one for the missing history) are
+    # written at every level below it
     params, runs = open_runs()
     graph, make_policy = runs[run_index]
     policy = start = make_policy()
@@ -675,7 +676,7 @@ def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
     if cause == "missing":
         field = step(field, *args)  # level 5, the kernel's last
     before = field_state(field)
-    assert len(before[3]) == 2 - (cause == "level") and all(before[3].values())
+    assert len(before[3]) == 2 - (cause == "level") and before[2] == 5 + (cause == "missing")
     with pytest.raises(error):
         step(field, *args)
     assert field_state(field) == before
@@ -698,7 +699,7 @@ def test_cfl_above_one_is_rejected_before_the_first_write(run_index):
     for _ in range(5):
         field = step(field, graph, params, policy)
     before = field_state(field)
-    assert len(before[3]) == 2 and all(before[3].values())
+    assert len(before[3]) == 2 and before[2] == 5
     with pytest.raises(ValueError, match=r"^CFL violated: dt/dx = 1\.2\d* exceeds 1$"):
         step(field, graph, fast, fast_policy)
     assert field_state(field) == before
