@@ -644,11 +644,11 @@ def field_state(field):
             {key: h[:].tobytes() for key, h in field.histories.items()})
 
 
-@pytest.mark.parametrize("cause", ["policy", "kernel", "level", "missing"])
+@pytest.mark.parametrize("cause", ["policy", "kernel", "mass", "level", "missing"])
 @pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
 def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
     # every check comes before the first write: a policy that does not fit
-    # the graph, a kernel that does not fit the params, a missing history
+    # the graph, a dt or a mass other than the run's, a missing history
     # (end 1 made transparent after 5 steps with a wall) and a level past
     # the kernel, on fields at level 5 (6 for the last) whose transparent
     # boundaries' histories (two, or one for the missing history) are
@@ -670,6 +670,7 @@ def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
         "policy": ((graph, params, BoundaryPolicy(
             policy.vertex_mode, policy.end_modes[:-1], policy.kernel)), ValueError),
         "kernel": ((graph, replace(params, dt=0.5 * params.dt), policy), ValueError),
+        "mass": ((graph, replace(params, mass=2.0 * params.mass), policy), ValueError),
         "level": ((graph, params, policy), ValueError),
         "missing": ((graph, params, policy), MissingHistoryError),
     }[cause]
