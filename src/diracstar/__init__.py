@@ -10,7 +10,6 @@ from .boundaries import (
 from .config import ConfigError, load_config
 from .diagnostics import (
     DiagnosticsRecord,
-    boundary_form,
     compute_record,
     energy,
     partial_norm,
@@ -44,7 +43,6 @@ __all__ = [
     "SimParams",
     "SpinorField",
     "VertexMode",
-    "boundary_form",
     "build_initial_field",
     "build_star_graph",
     "compute_record",

@@ -39,7 +39,6 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from .bessel import BesselKernel
 from .graph import StarGraph
 
 __all__ = [
@@ -73,30 +72,18 @@ def vertex_tbc_factor(alphas: Sequence[float]) -> float:
 
 
 class BoundaryPolicy:
-    """The vertex mode, the end modes and the convolution kernel of a run.
+    """The vertex mode and the end modes of a run.
 
     A policy holds no run state, so one policy can step any number of
-    fields.  The boundary histories live in the ``SpinorField``, and the
-    transparent vertex takes its factor A from the graph's weights.
+    fields, of any mass, dt and n_steps.  The step plan builds the
+    convolution kernel from the run's params, the boundary histories live
+    in the ``SpinorField``, and the transparent vertex takes its factor A
+    from the graph's weights.
     """
 
-    def __init__(
-        self,
-        vertex_mode: VertexMode,
-        end_modes: Sequence[EndMode],
-        kernel: BesselKernel | None = None,
-    ) -> None:
+    def __init__(self, vertex_mode: VertexMode, end_modes: Sequence[EndMode]) -> None:
         self.vertex_mode = vertex_mode
         self.end_modes = tuple(end_modes)
-        self.kernel = kernel
-        if self.requires_kernel and kernel is None:
-            raise ValueError("transparent boundary conditions need a BesselKernel")
-
-    @property
-    def requires_kernel(self) -> bool:
-        return self.vertex_mode is VertexMode.TRANSPARENT or any(
-            m is EndMode.TRANSPARENT for m in self.end_modes
-        )
 
     def validate_for(self, graph: StarGraph) -> None:
         if len(self.end_modes) != graph.n_bonds:

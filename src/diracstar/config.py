@@ -23,7 +23,6 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .bessel import BesselKernel
 from .boundaries import BoundaryPolicy, EndMode, VertexMode
 from .graph import StarGraph, build_star_graph
 from .solver import SimParams, check_cfl, check_packet, check_source
@@ -161,13 +160,9 @@ class ExperimentConfig:
         return SimParams(mass=self.mass, dt=self.dt, n_steps=self.n_steps)
 
     def build_policy(self) -> BoundaryPolicy:
-        """Boundary policy, with the kernel when a boundary is transparent."""
-        vertex = VertexMode(self.vertex_mode)
-        ends = tuple(map(EndMode, self._ends()))
-        kernel = None
-        if vertex is VertexMode.TRANSPARENT or EndMode.TRANSPARENT in ends:
-            kernel = BesselKernel.build(self.mass, self.dt, self.n_steps)
-        return BoundaryPolicy(vertex, ends, kernel)
+        """Boundary policy: the vertex mode and the end modes; the step plan
+        builds the kernel from ``sim_params``."""
+        return BoundaryPolicy(VertexMode(self.vertex_mode), map(EndMode, self._ends()))
 
     def with_alpha1(self, value: float) -> "ExperimentConfig":
         return replace(

@@ -1,4 +1,4 @@
-"""Observables: norms, reflection, transmitted fractions, energy, boundary form.
+"""Observables: norms, reflection, transmitted fractions and energy.
 
 The stepper stores phi and chi half a time step apart.  Density and norm
 diagnostics first advance phi to chi's (integer) time level with a second-
@@ -14,8 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import StarGraph
-
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SimParams, SpinorField
 
@@ -25,7 +23,6 @@ __all__ = [
     "total_norm",
     "transmitted_fractions",
     "energy",
-    "boundary_form",
     "node_profile",
     "compute_record",
 ]
@@ -131,29 +128,6 @@ def energy(field: "SpinorField", params: "SimParams") -> float:
     """
     return float(sum(_bond_energy(field, b, params, _chi_part(field, b))
                      for b in range(field.n_bonds)))
-
-
-def boundary_form(
-    psi: "SpinorField", phi: "SpinorField", graph: StarGraph
-) -> complex:
-    """Skew-Hermitian boundary form probing self-adjointness.
-
-    Evaluates -i sum_b [chi u* + phi v*] between each bond's endpoints
-    (second field conjugated), sampling phi at the end nodes and chi by
-    one-sided extrapolation.  Vanishes, to rounding, for pairs of fields
-    satisfying a Kirchhoff-type vertex coupling with Dirichlet far ends;
-    generic unconstrained fields give a nonzero value.
-    """
-    if psi.bonds != phi.bonds:
-        raise ValueError("fields live on different domains")
-    if any(b not in graph.bonds for b in psi.bonds):
-        raise ValueError("fields do not live on the given graph")
-    total = 0.0 + 0.0j
-    for b, (f1, f2) in enumerate(zip(psi.phi, phi.phi)):
-        c1, c2 = _chi_at_nodes(psi, b), _chi_at_nodes(phi, b)
-        for end, sign in ((-1, 1.0), (0, -1.0)):
-            total += sign * (c1[end] * np.conj(f2[end]) + f1[end] * np.conj(c2[end]))
-    return -1j * total
 
 
 def node_profile(

@@ -159,7 +159,7 @@ def sweep_alpha1(
     SweepSpec(start, stop, points).validate()
     out = _resolve_out_dir(config, out_dir)
 
-    policy = config.build_policy()  # alpha1 changes neither modes nor kernel
+    policy = config.build_policy()  # alpha1 changes no boundary mode
     values = np.linspace(start, stop, points)
     reflections: list[float] = [float("nan")] * points
     failures: list[dict] = []

@@ -114,8 +114,9 @@ class SpinorField:
     at t = n dt.  ``bonds`` is the simulated domain: all graph bonds, or
     just bond 1 for a transparent-vertex interior run.  ``histories`` maps
     each transparent boundary ('vertex', 'end<j>') to a zeroed array of the
-    kernel's length, whose entry k the step from level k writes.  ``step``
-    advances the field in place; ``copy`` keeps a level, with buffers and
+    plan's kernel's length, n_steps + 1, whose entry k the step from level k
+    writes.  ``step`` advances the field in place, with the mass and dt of
+    its plan; ``copy`` keeps a level and the plan, with buffers and
     histories of its own, and ``copy.copy`` and ``copy.deepcopy`` make that
     copy.
     """
@@ -271,7 +272,8 @@ def build_initial_field(
 
 
 class MissingHistoryError(ValueError):
-    """Raised when a step's level passes the levels the kernel covers."""
+    """Raised when a step's level passes its plan's n_steps, the levels the
+    kernel covers."""
 
 
 def _history_convolution(past: np.ndarray, kernel: BesselKernel, level: int) -> complex:
@@ -365,31 +367,28 @@ class _StepPlan:
     cells beside them, the weights and W (None for a transparent vertex);
     per transparent boundary, vertex first, (history key, node, adjacent cell,
     right end, factor A, coefficients); the Dirichlet end nodes; the pads;
-    ``reach``, 1 + the largest vertex or transparent node; ``start``, None
-    (every slot) unless ``run`` sets its window on a plan keyed to its own
-    SimParams, which no caller holds: a step on ``result.field`` or its
-    copy plans again and covers every slot.
+    ``kernel``, built from the params' mass, dt and n_steps when a boundary
+    is transparent (else None); ``reach``, 1 + the largest vertex or
+    transparent node; ``start``, None (every slot) unless ``run`` sets its
+    window on a plan keyed to its own SimParams, which no caller holds: a
+    step on ``result.field`` or its copy plans again and covers every slot.
     Raises ValueError unless the params are valid with dt/dx <= 1 on the
-    graph's grid, the policy fits the graph, its kernel the params' mass,
-    dt and n_steps, and the field the simulated bonds and, past level 0,
-    one history of the kernel's length per transparent boundary and no
-    other; the step from level 0 sets a field's histories with its plan,
-    so a plan the field keeps still fits them."""
+    graph's grid, the policy fits the graph, the params keep the mass and
+    dt of the field's plan, if it has one, and the field holds the
+    simulated bonds and, past level 0, one history of n_steps + 1 entries
+    per transparent boundary and no other; the step from level 0 sets a
+    field's histories with its plan, so a plan the field keeps still fits
+    them.  Every check comes before the kernel is built."""
 
     def __init__(self, field, graph, params, policy) -> None:
         params.validate()
         check_cfl(params.dt, graph.dx)
         policy.validate_for(graph)
-        k = policy.kernel
-        if policy.requires_kernel:
-            if (k.mass, k.dt) != (params.mass, params.dt):
-                raise ValueError(
-                    f"kernel built for mass {k.mass!r} and dt {k.dt!r}, but the "
-                    f"run has mass {params.mass!r} and dt {params.dt!r}"
-                )
-            if (n := len(k.samples) - 1) < params.n_steps:
-                raise ValueError(
-                    f"kernel covers {n} steps, but the run has {params.n_steps}")
+        planned = field._plan and field._plan.params
+        if planned and (planned.mass, planned.dt) != (params.mass, params.dt):
+            raise ValueError(
+                f"field planned for mass {planned.mass!r} and dt {planned.dt!r} cannot "
+                f"step with mass {params.mass!r} and dt {params.dt!r}")
         interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
         simulated = graph.bonds[:1] if interior_only else graph.bonds
         if field.bonds != simulated:
@@ -424,16 +423,18 @@ class _StepPlan:
                 self.walls.append(node)
             else:
                 ends.append((f"end{bond.index}", node, cell, right_end, 1.0))
-        self.transparent = [
-            (*e, _tbc_coefficients(policy.kernel, self.lam, e[4])) for e in ends
-        ]
         have = {key: len(h) for key, h in field.histories.items()}
-        want = {e[0]: len(k.reversed_weights) for e in ends}
+        want = {e[0]: params.n_steps + 1 for e in ends}
         if field.time_level and have != want:
             raise ValueError(
                 f"field at time level {field.time_level} holds histories {have}, but "
                 f"the policy's transparent boundaries need {want}: a field keeps "
-                "the boundary modes and the kernel length it started with")
+                "the boundary modes and the n_steps it started with")
+        self.kernel = (BesselKernel.build(params.mass, params.dt, params.n_steps)
+                       if ends else None)
+        self.transparent = [
+            (*e, _tbc_coefficients(self.kernel, self.lam, e[4])) for e in ends
+        ]
         junctions = [*(self.vertex[0] if self.vertex else ()), *(e[1] for e in ends)]
         self.reach, self.start = 1 + max(junctions, default=-1), None
 
@@ -446,8 +447,9 @@ def step(
 ) -> SpinorField:
     """Advance ``field`` one time step in place and return it.
 
-    Every check comes first, in the step plan; a step from level 0 then
-    gives the field a zeroed history of the kernel's length per transparent
+    Every check comes first, in the step plan, which then builds the kernel
+    from ``params`` if a boundary is transparent; a step from level 0 gives
+    the field a zeroed history of the kernel's length per transparent
     boundary.  The vertex's new shared value and each transparent node's
     new value, with its history entry at the old level, are computed from
     the old level.  The phi stencil then overwrites the inner nodes, the
@@ -459,14 +461,15 @@ def step(
     64 slots: beyond them the field holds +0, which is what a full stencil
     makes of +0 inputs (at m = 0 too), so the bits are those of a full
     step.  Every other plan covers every slot.  The constants of ``graph``,
-    ``params`` and ``policy`` are planned once per run (by
-    ``build_initial_field``, else by the first step) and kept on the field,
-    so none of the three may change during a run.
-    Raises ValueError for invalid params, for dt/dx > 1, for a field whose
-    bonds are not the simulated ones or whose histories are not the plan's
-    (a boundary mode or the kernel's length changed mid-run), for a policy
-    or kernel that does not fit the graph or params, and MissingHistoryError
-    past the kernel; each leaves the field as it was.
+    ``params`` and ``policy``, the kernel among them, are planned once per
+    run (by ``build_initial_field``, else by the first step) and kept on
+    the field, so none of the three may change during a run.
+    Raises ValueError for invalid params, for dt/dx > 1, for a policy that
+    does not fit the graph, for a mass or dt other than those of the
+    field's plan, for a field whose bonds are not the simulated ones or
+    whose histories are not the plan's (a boundary mode or n_steps changed
+    mid-run), and MissingHistoryError past the kernel's n_steps; each
+    leaves the field as it was.
     InstabilityError, when a value exceeds the overflow guard or is not
     finite, leaves the field at the new level, which its message names.
     """
@@ -477,7 +480,7 @@ def step(
     phi, chi = field.phi_buf, field.chi_buf
     level = field.time_level
     if level == 0:
-        field.histories = {key: np.zeros(len(policy.kernel.reversed_weights), complex)
+        field.histories = {key: np.zeros(params.n_steps + 1, complex)
                            for key, *_ in plan.transparent}
 
     if plan.vertex is not None:
@@ -490,7 +493,7 @@ def step(
     ends = []
     for key, node, cell, right_end, factor, coefficients in plan.transparent:
         ends.append((node, _solve_tbc_node(
-            phi[node], chi[cell], field.histories[key], policy.kernel, level,
+            phi[node], chi[cell], field.histories[key], plan.kernel, level,
             plan.two_lam, coefficients, right_end, factor,
         )))
 
@@ -596,11 +599,11 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
     at the final step; node-resolved snapshots are taken at the steps
     nearest to the configured times and labelled with the sampled time
     n dt.  ``policy`` defaults to ``config.build_policy()``; runs with the
-    same boundary modes, mass, dt and n_steps may share one.  The run
-    steps one field in place, over the window of slots that the packet can
-    have reached (see ``step``): it sets the window's ``start`` once, on
-    the plan of its own params, past the source bond and the vertex and
-    transparent nodes, so a step on the returned field covers every slot.
+    same boundary modes may share one.  The run steps one field in place,
+    over the window of slots that the packet can have reached (see
+    ``step``): it sets the window's ``start`` once, on the plan of its own
+    params, past the source bond and the vertex and transparent nodes, so
+    a step on the returned field covers every slot.
     Step instability propagates.
     """
     from .diagnostics import compute_record, node_profile

@@ -47,6 +47,24 @@ def gaussian(x, x0: float, sigma: float):
     )
 
 
+def carrier_packet(x, x0: float, sigma: float, k0: float, mass: float, t: float = 0.0):
+    """(phi, chi) at x of a Gaussian packet with carrier e^{i k0 x} on the
+    positive-energy branch of the continuum bond equations, at time t.
+
+    A plane wave e^{i(k x - w t)} of d/dt phi = -d/dx chi - i m phi,
+    d/dt chi = -d/dx phi + i m chi needs w phi = k chi + m phi, so on the
+    branch w = +sqrt(k^2 + m^2) its spinor is (1, (w - m)/k), which moves
+    right at the group velocity k/w for k > 0.  The packet is ``gaussian``
+    times the carrier and the spinor of k0.  It is exact at t = 0; at
+    other t the envelope moves rigidly at the group velocity of k0 (no
+    spreading), which is meant for the half step that puts phi at
+    t = -dt/2.
+    """
+    omega = math.hypot(k0, mass)
+    phi = gaussian(x - k0 / omega * t, x0, sigma) * np.exp(1j * (k0 * x - omega * t))
+    return phi, (omega - mass) / k0 * phi
+
+
 def _check_support(values: np.ndarray, what: str) -> None:
     edge = max(abs(values[0]), abs(values[-1]))
     if edge > SUPPORT_TOL:
@@ -344,6 +362,14 @@ def _endpoint_values_reference(field, b, upper):
 
 
 def boundary_form_reference(psi, phi) -> complex:
+    """Skew-Hermitian boundary form probing self-adjointness.
+
+    -i sum_b [chi u* + phi v*] between each bond's endpoints (second field
+    conjugated), with phi at the end nodes and chi extrapolated one-sided.
+    It vanishes, to rounding, for pairs of fields on one domain that
+    satisfy a Kirchhoff-type vertex coupling with Dirichlet far ends;
+    generic fields give a nonzero value.
+    """
     total = 0.0 + 0.0j
     for b in range(psi.n_bonds):
         for upper, sign in ((True, 1.0), (False, -1.0)):

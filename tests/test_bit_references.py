@@ -12,13 +12,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from diracstar import (
-    BesselKernel,
     BoundaryPolicy,
     EndMode,
     SimParams,
     SpinorField,
     VertexMode,
-    boundary_form,
     build_initial_field,
     build_star_graph,
     compute_record,
@@ -29,7 +27,6 @@ from diracstar import (
 from diracstar import solver
 
 from .oracles import (
-    boundary_form_reference,
     compute_record_reference,
     energy_reference,
     initial_field_reference,
@@ -47,8 +44,7 @@ values = st.builds(complex, reals, reals)
 
 @st.composite
 def stars(draw):
-    """(graph, policy, params) of a random star; a transparent boundary
-    brings a kernel for the run's mass and dt."""
+    """(graph, policy, params) of a random star."""
     n = draw(st.integers(2, 6))
     cells = draw(st.lists(st.integers(4, 9), min_size=n, max_size=n))
     alphas = draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n))
@@ -57,10 +53,7 @@ def stars(draw):
     ends = tuple(draw(st.lists(st.sampled_from(list(EndMode)), min_size=n, max_size=n)))
     params = SimParams(mass=draw(st.floats(0.0, 5.0)),
                        dt=draw(st.floats(0.1, 1.0)) * DX, n_steps=4)
-    kernel = None
-    if vertex is VertexMode.TRANSPARENT or EndMode.TRANSPARENT in ends:
-        kernel = BesselKernel.build(params.mass, params.dt, params.n_steps)
-    return graph, BoundaryPolicy(vertex, ends, kernel), params
+    return graph, BoundaryPolicy(vertex, ends), params
 
 
 def domain(graph, policy):
@@ -92,15 +85,6 @@ def test_diagnostics_match_the_per_bond_forms(star, data):
                   for j in range(field.n_bonds)))
     assert bits(total_norm(field, params)) == bits(sum(partial))
     assert bits(energy(field, params)) == bits(energy_reference(field, params))
-
-
-@settings(max_examples=40, deadline=None)
-@given(stars(), st.data())
-def test_boundary_form_matches_the_per_bond_form(star, data):
-    graph, policy, _ = star
-    bonds = domain(graph, policy)
-    psi, phi = random_field(data.draw, bonds), random_field(data.draw, bonds)
-    assert bits(boundary_form(psi, phi, graph)) == bits(boundary_form_reference(psi, phi))
 
 
 @settings(max_examples=80, deadline=None)

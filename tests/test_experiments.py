@@ -260,8 +260,8 @@ def test_sweep_records_failures(fast_config, tmp_path, monkeypatch):
 
 
 def test_sweep_builds_one_kernel(tmp_path, monkeypatch):
-    # alpha1 changes neither the boundary modes nor the kernel, so one
-    # policy serves every point, each still its own run
+    # alpha1 changes no boundary mode, so one policy serves every point;
+    # each point is its own run, whose step plan builds its own kernel
     calls, runs = [], []
     real, real_run = BesselKernel.build, experiments_module.run
     monkeypatch.setattr(
@@ -276,7 +276,7 @@ def test_sweep_builds_one_kernel(tmp_path, monkeypatch):
     )
     summary = sweep_alpha1(config, 0.8, 1.2, 3, tmp_path)
     assert summary["failures"] == []
-    assert calls == [(0.01, 0.04, 20)]
+    assert calls == [(0.01, 0.04, 20)] * 3
     assert len(runs) == 3 and all(policy is runs[0][1] for _, policy in runs)
 
 

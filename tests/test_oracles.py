@@ -7,6 +7,7 @@ from .oracles import (
     OracleRun,
     bessel_series_reference,
     besselj_reference,
+    carrier_packet,
     free_line_solution,
     gaussian,
 )
@@ -14,6 +15,21 @@ from .oracles import (
 
 def packet(x0=-5.0, sigma=0.9):
     return (lambda x: gaussian(x, x0, sigma)), (lambda x: gaussian(x, x0, sigma))
+
+
+@pytest.mark.parametrize("k0, mass", [(4.0, 5.0), (0.5, 5.0), (2.0, 0.0)])
+def test_carrier_packet_is_on_the_positive_energy_branch(k0, mass):
+    # its spinor is the eigenvector of the symbol [[m, k0], [k0, -m]] of
+    # i d/dt with eigenvalue +sqrt(k0^2 + m^2); at m = 0 it is (1, 1),
+    # the spinor of gaussian_spinor
+    x = np.linspace(-8.0, 8.0, 161)
+    phi, chi = carrier_packet(x, 0.0, 2.0, k0, mass)
+    omega = np.hypot(k0, mass)
+    np.testing.assert_allclose(mass * phi + k0 * chi, omega * phi, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(k0 * phi - mass * chi, omega * chi, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.abs(phi), gaussian(x, 0.0, 2.0), rtol=1e-14)
+    later = carrier_packet(x, 0.0, 2.0, k0, mass, t=3.0)[0]
+    np.testing.assert_allclose(np.abs(later), gaussian(x, 3.0 * k0 / omega, 2.0), rtol=1e-14)
 
 
 def test_transport_at_time_zero_is_initial_density():

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracstar import (
-    BesselKernel,
     BoundaryPolicy,
     EndMode,
     SimParams,
@@ -161,8 +160,7 @@ def random_star(params, mode, star):
     alphas, ends, first, others = star
     cells = (first, *others)
     graph = build_star_graph([(a, 0.05 * n, 0.05) for a, n in zip(alphas, cells)])
-    kernel = BesselKernel.build(params.mass, params.dt, params.n_steps)
-    return graph, BoundaryPolicy(mode, ends, kernel)
+    return graph, BoundaryPolicy(mode, ends)
 
 
 # m dt = 0.012 and 2.4: numpy divides by cp and cm on either of its branches.

@@ -517,20 +517,20 @@ def test_step_checks_the_policy_against_the_graph(planned):
 
 
 @pytest.mark.parametrize("change", [{"dt": 0.005}, {"mass": 0.5}],
-                         ids=["half_dt", "mass"])
-@pytest.mark.parametrize("planned", [True, False], ids=["replanned", "unplanned"])
-def test_step_checks_the_kernel_against_the_params(change, planned):
-    # open_line.cfg stepped with dt halved or another mass ran on the kernel
-    # built for dt = 0.01, m = 0.01, with no error
+                         ids=["replanned-half_dt", "replanned-mass"])
+def test_step_checks_the_kernel_against_the_params(change):
+    # open_line.cfg's initial field, planned for dt = 0.01 and m = 0.01 and
+    # stepped with dt halved or another mass, once ran on the kernel built
+    # for the planned values with no error; its half step in time is theirs
     cfg = load_config(CONFIG_DIR / "open_line.cfg")
     graph, policy = cfg.build_graph(), cfg.build_policy()
     params = cfg.sim_params()
-    if planned:
-        field = build_initial_field(graph, params, policy, x0=cfg.x0, sigma=cfg.sigma)
-    else:
-        field = SpinorField(graph.bonds)
-    with pytest.raises(ValueError, match="kernel built for mass 0.01 and dt 0.01"):
+    field = build_initial_field(graph, params, policy, x0=cfg.x0, sigma=cfg.sigma)
+    before = field_state(field)
+    with pytest.raises(ValueError, match=r"^field planned for mass 0\.01 and dt 0\.01 "
+                       "cannot step with mass "):
         step(field, graph, replace(params, **change), policy)
+    assert field_state(field) == before
 
 
 def test_initial_field_takes_one_peak(monkeypatch):
@@ -552,11 +552,7 @@ def test_initial_field_takes_one_peak(monkeypatch):
 def test_transparent_vertex_rejects_full_graph_field():
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, n_steps=4)
-    policy = BoundaryPolicy(
-        VertexMode.TRANSPARENT,
-        (EndMode.DIRICHLET,) * 3,
-        kernel=BesselKernel.build(0.01, 0.01, 4),
-    )
+    policy = BoundaryPolicy(VertexMode.TRANSPARENT, (EndMode.DIRICHLET,) * 3)
     field = SpinorField(g.bonds)
     with pytest.raises(ValueError, match=bonds_message(g.bonds, g.bonds[:1])):
         step(field, g, params, policy)
@@ -604,14 +600,9 @@ def open_runs():
     line = line_graph(length=2.0, dx=0.05)
     star = build_star_graph([(a, 2.0, 0.05) for a in (1.0, 1.0, 1.0)])
     return params, [
-        (line, lambda: BoundaryPolicy(
-            VertexMode.KIRCHHOFF, (EndMode.TRANSPARENT,) * 2,
-            BesselKernel.build(0.3, 0.04, 60),
-        )),
+        (line, lambda: BoundaryPolicy(VertexMode.KIRCHHOFF, (EndMode.TRANSPARENT,) * 2)),
         (star, lambda: BoundaryPolicy(
-            VertexMode.TRANSPARENT, (EndMode.TRANSPARENT,) + (EndMode.DIRICHLET,) * 2,
-            BesselKernel.build(0.3, 0.04, 60),
-        )),
+            VertexMode.TRANSPARENT, (EndMode.TRANSPARENT,) + (EndMode.DIRICHLET,) * 2)),
     ]
 
 
@@ -648,9 +639,9 @@ def field_state(field):
 @pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
 def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
     # every check comes before the first write: a policy that does not fit
-    # the graph, a dt or a mass other than the run's, a missing history
-    # (end 1 made transparent after 5 steps with a wall) and a level past
-    # the kernel, on fields at level 5 (6 for the last) whose transparent
+    # the graph, a dt or a mass other than the field's plan, a missing
+    # history (end 1 made transparent after 5 steps with a wall) and a level
+    # past the kernel, on fields at level 5 (6 for the last) whose transparent
     # boundaries' histories (two, or one for the missing history) are
     # written at every level below it
     params, runs = open_runs()
@@ -658,17 +649,14 @@ def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
     policy = start = make_policy()
     if cause == "missing":  # the kernel covers levels 0..5, the run 5 steps
         params = replace(params, n_steps=5)
-        policy = start = BoundaryPolicy(policy.vertex_mode, policy.end_modes,
-                                        BesselKernel.build(params.mass, params.dt, 5))
     if cause == "level":
-        start = BoundaryPolicy(policy.vertex_mode,
-                               (EndMode.DIRICHLET, *policy.end_modes[1:]), policy.kernel)
+        start = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET, *policy.end_modes[1:]))
     field = build_initial_field(graph, params, start, x0=-1.0, sigma=0.2)
     for _ in range(5):
         field = step(field, graph, params, start)
     args, error = {
         "policy": ((graph, params, BoundaryPolicy(
-            policy.vertex_mode, policy.end_modes[:-1], policy.kernel)), ValueError),
+            policy.vertex_mode, policy.end_modes[:-1])), ValueError),
         "kernel": ((graph, replace(params, dt=0.5 * params.dt), policy), ValueError),
         "mass": ((graph, replace(params, mass=2.0 * params.mass), policy), ValueError),
         "level": ((graph, params, policy), ValueError),
@@ -685,24 +673,21 @@ def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
 
 @pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
 def test_cfl_above_one_is_rejected_before_the_first_write(run_index):
-    # dt/dx = 1.2 on the library path, with a kernel built for that dt:
-    # unchecked, the field was built and stepped at the unstable ratio
-    # until the overflow guard tripped
+    # dt/dx = 1.2 on the library path: unchecked, the field was built and
+    # stepped at the unstable ratio until the overflow guard tripped
     params, runs = open_runs()
     graph, make_policy = runs[run_index]
     policy = make_policy()
     fast = replace(params, dt=1.2 * graph.dx)
-    fast_policy = BoundaryPolicy(policy.vertex_mode, policy.end_modes,
-                                 BesselKernel.build(fast.mass, fast.dt, fast.n_steps))
     with pytest.raises(ValueError, match=r"^CFL violated: dt/dx = 1\.2\d* exceeds 1$"):
-        build_initial_field(graph, fast, fast_policy, x0=-1.0, sigma=0.2)
+        build_initial_field(graph, fast, policy, x0=-1.0, sigma=0.2)
     field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
     for _ in range(5):
         field = step(field, graph, params, policy)
     before = field_state(field)
     assert len(before[3]) == 2 and before[2] == 5
     with pytest.raises(ValueError, match=r"^CFL violated: dt/dx = 1\.2\d* exceeds 1$"):
-        step(field, graph, fast, fast_policy)
+        step(field, graph, fast, policy)
     assert field_state(field) == before
 
 
@@ -725,29 +710,13 @@ def test_library_path_names_a_dt_that_is_not_positive(dt, cause):
     assert field_state(field) == before
 
 
-def test_run_rejects_a_kernel_shorter_than_the_run(monkeypatch):
-    # the kernel's length is a second owner of n_steps: unchecked, run
-    # stepped as far as the kernel reached and then raised
-    # MissingHistoryError, which names the kernel's count only
-    config = replace(load_config(CONFIG_DIR / "open_line.cfg"),
-                     n_steps=20, snapshot_times=())
-    short = replace(config, n_steps=5).build_policy()
-    steps = []
-    original = solver.step
-    monkeypatch.setattr(solver, "step", lambda *a: steps.append(1) or original(*a))
-    with pytest.raises(ValueError, match="^kernel covers 5 steps, but the run has 20$"):
-        run(config, short)
-    assert steps == []
-
-
 def test_a_field_stepped_with_other_boundary_modes_is_rejected():
     # a transparent end that the run did not start with has no history of
     # the levels the field has stepped
     params, runs = open_runs()
     for graph, make_policy in runs:
         policy = make_policy()
-        walls = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET,) * graph.n_bonds,
-                               policy.kernel)
+        walls = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET,) * graph.n_bonds)
         field = build_initial_field(graph, params, walls, x0=-1.0, sigma=0.2)
         for _ in range(5):
             step(field, graph, params, walls)
@@ -763,22 +732,22 @@ def test_a_field_stepped_on_with_walls_or_a_longer_kernel_is_rejected(run_index,
     # the reverse switch: unchecked, 5 transparent steps and then steps with
     # walls ran silently and left the transparent ends' histories 5 levels
     # behind the field; and a kernel longer than the one the histories were
-    # made for stepped once more, then raised IndexError
+    # made for (here, of params with twice the steps) stepped once more,
+    # then raised IndexError
     params, runs = open_runs()
     graph, make_policy = runs[run_index]
-    policy = make_policy()
-    modes = policy.end_modes
+    policy = other = make_policy()
+    longer = params
     if switch == "walls":
-        modes, kernel = (EndMode.DIRICHLET,) * graph.n_bonds, policy.kernel
+        other = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET,) * graph.n_bonds)
     else:
-        kernel = BesselKernel.build(params.mass, params.dt, 2 * params.n_steps)
-    other = BoundaryPolicy(policy.vertex_mode, modes, kernel)
+        longer = replace(params, n_steps=2 * params.n_steps)
     field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
     for _ in range(5):
         step(field, graph, params, policy)
     before = field_state(field)
     with pytest.raises(ValueError, match=r"^field at time level 5 holds histories "):
-        step(field, graph, params, other)
+        step(field, graph, longer, other)
     assert field_state(field) == before
 
 
