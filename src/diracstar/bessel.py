@@ -23,6 +23,7 @@ Each sample's bits depend on its z alone, not on the rest of the array.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,11 +100,13 @@ def _bessel_j(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def check_run_constants(mass: float, dt: float, n_steps: int) -> None:
     """The rule for a run's mass, dt and n_steps, which ``SimParams`` and
-    the kernel share: mass >= 0 and dt > 0 finite, n_steps >= 0."""
+    the kernel share: mass >= 0 and dt > 0 finite, n_steps an integer >= 0."""
     if not 0.0 <= mass < np.inf:
         raise ValueError(f"mass must be finite and non-negative, got {mass}")
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not isinstance(n_steps, numbers.Integral):
+        raise ValueError(f"n_steps must be an integer, got {n_steps}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
 

@@ -74,9 +74,9 @@ def vertex_tbc_factor(alphas: Sequence[float]) -> float:
 class BoundaryPolicy:
     """The vertex mode and the end modes of a run.
 
-    A policy holds no run state, so one policy can step any number of
-    fields, of any mass, dt and n_steps.  The step plan builds the
-    convolution kernel from the run's params, the boundary histories live
+    A policy holds no run state, so one policy can serve any number of
+    fields, of any mass, dt and n_steps.  Each field's step plan builds the
+    convolution kernel from the field's params, the boundary histories live
     in the ``SpinorField``, and the transparent vertex takes its factor A
     from the graph's weights.
     """

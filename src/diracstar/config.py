@@ -160,8 +160,8 @@ class ExperimentConfig:
         return SimParams(mass=self.mass, dt=self.dt, n_steps=self.n_steps)
 
     def build_policy(self) -> BoundaryPolicy:
-        """Boundary policy: the vertex mode and the end modes; the step plan
-        builds the kernel from ``sim_params``."""
+        """Boundary policy: the vertex mode and the end modes; a field's
+        step plan builds the kernel from ``sim_params``."""
         return BoundaryPolicy(VertexMode(self.vertex_mode), map(EndMode, self._ends()))
 
     def with_alpha1(self, value: float) -> "ExperimentConfig":

@@ -95,15 +95,21 @@ def check_cfl(dt: float, dx: float) -> None:
 
 
 class SpinorField:
-    """Per-bond (phi, chi) arrays at one staggered time level, packed.
+    """A run's field: per-bond (phi, chi) arrays at one staggered time level,
+    packed, with the step plan of the run's graph, params and policy.
 
-    ``SpinorField(bonds)`` is the one constructor: a zero field at time
-    level 0, with ``initial_max = 0.0``, no histories and no step plan.
-    ``phi_buf`` holds the nodes of every bond, bond after bond; ``chi_buf``
-    holds the cells, with one pad slot after each bond's last cell, so phi
-    node k and chi cell k share one offset and one stencil call covers all
-    bonds.  The pads stay +0.  ``phi`` and ``chi`` are tuples of per-bond
-    views into the buffers: write values through them, never rebind them.
+    ``SpinorField(graph, params, policy)`` is the one constructor.  It checks
+    the params, dt/dx <= 1 on the graph's grid and the policy against the
+    graph, then makes a zero field at time level 0, with ``initial_max =
+    0.0`` and no histories, on the simulated bonds ``bonds``: all graph
+    bonds, or bond 1 alone for a transparent vertex.  Last it makes the step
+    plan, which builds the kernel when a boundary is transparent; every
+    ``step`` of the field runs on that plan.  ``phi_buf`` holds the nodes of
+    every bond, bond after bond; ``chi_buf`` holds the cells, with one pad
+    slot after each bond's last cell, so phi node k and chi cell k share one
+    offset and one stencil call covers all bonds.  The pads stay +0.
+    ``phi`` and ``chi`` are tuples of per-bond views into the buffers: write
+    values through them, never rebind them.
 
     The buffers and the stencil scratch are the rows of one zero arena, each
     rounded up to 4 values (64 bytes) and all cut from one zero byte array
@@ -111,18 +117,21 @@ class SpinorField:
     so the guard reads phi and chi as one vector.
 
     After n accepted steps the stored phi sits at t = (n - 1/2) dt and chi
-    at t = n dt.  ``bonds`` is the simulated domain: all graph bonds, or
-    just bond 1 for a transparent-vertex interior run.  ``histories`` maps
-    each transparent boundary ('vertex', 'end<j>') to a zeroed array of the
-    plan's kernel's length, n_steps + 1, whose entry k the step from level k
-    writes.  ``step`` advances the field in place, with the mass and dt of
-    its plan; ``copy`` keeps a level and the plan, with buffers and
-    histories of its own, and ``copy.copy`` and ``copy.deepcopy`` make that
-    copy.
+    at t = n dt.  ``histories`` maps each transparent boundary ('vertex',
+    'end<j>') to a zeroed array of n_steps + 1 entries, made by the step
+    from level 0, whose entry k the step from level k writes.  ``copy``
+    makes a field of the same graph, params and policy at the same level,
+    which shares no state with this one; ``copy.copy`` and ``copy.deepcopy``
+    make that copy.
     """
 
-    def __init__(self, bonds: tuple[Bond, ...]) -> None:
-        self.bonds, self._plan = bonds, None
+    def __init__(self, graph: StarGraph, params: SimParams,
+                 policy: BoundaryPolicy) -> None:
+        params.validate()
+        check_cfl(params.dt, graph.dx)
+        policy.validate_for(graph)
+        interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
+        self.bonds = bonds = graph.bonds[:1] if interior_only else graph.bonds
         self.time_level, self.initial_max, self.histories = 0, 0.0, {}
         ends = list(accumulate(b.cells + 1 for b in bonds))
         self._cuts = [(slice(a, z), slice(a, z - 1)) for a, z in zip([0, *ends], ends)]
@@ -137,6 +146,7 @@ class SpinorField:
         self.phi = tuple(phi_buf[p] for p, _ in self._cuts)
         self.chi = tuple(chi_buf[c] for _, c in self._cuts)
         self._last = 0, ()
+        self._plan = _StepPlan(self, graph, params, policy)
 
     def _window(self, w: int) -> tuple:
         """The stencil operands of slots [0, w), kept for the last w asked:
@@ -158,10 +168,11 @@ class SpinorField:
         return float(np.max(np.abs(self._state)))  # a NaN sticks
 
     def copy(self) -> "SpinorField":
-        twin = SpinorField(self.bonds)
+        plan = self._plan
+        twin = SpinorField(plan.graph, plan.params, plan.policy)
         twin._state[:] = self._state
         twin.time_level, twin.initial_max = self.time_level, self.initial_max
-        twin._plan, twin.histories = self._plan, copy.deepcopy(self.histories)
+        twin.histories = copy.deepcopy(self.histories)
         return twin
 
     __copy__ = copy
@@ -232,19 +243,19 @@ def build_initial_field(
 ) -> SpinorField:
     """Gaussian initial state on one bond, staggered in time for the stepper.
 
-    chi keeps its t = 0 samples; phi is pulled back to t = -dt/2 with a
-    Taylor half step (using the staggered derivative of chi), which keeps
-    the scheme second order in time.  The run's step plan, which the field
-    keeps for its steps, then sets the end and vertex nodes.  The
+    Makes the field of ``graph``, ``params`` and ``policy`` (see
+    ``SpinorField``), then writes the packet: chi keeps its t = 0 samples;
+    phi is pulled back to t = -dt/2 with a Taylor half step (using the
+    staggered derivative of chi), which keeps the scheme second order in
+    time.  The field's step plan then sets the end and vertex nodes.  The
     state is optionally rescaled to unit total norm.
     """
     source = check_source(graph, policy.vertex_mode, bond_index)
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
 
-    interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
-    field = SpinorField((source,) if interior_only else graph.bonds)
-    plan = _StepPlan(field, graph, params, policy)
+    field = SpinorField(graph, params, policy)
+    plan = field._plan
     phi0, chi0 = gaussian_spinor(x0, sigma, source)
     p, c = field.phi[bond_index - 1], field.chi[bond_index - 1]
     p[:], c[:] = amplitude * phi0, amplitude * chi0
@@ -267,7 +278,7 @@ def build_initial_field(
         if (total := total_norm(field, params)) > 0:
             field._state *= 1.0 / np.sqrt(total)
 
-    field.initial_max, field._plan = field.max_abs(), plan
+    field.initial_max = field.max_abs()
     return field
 
 
@@ -361,48 +372,25 @@ def _stencil(out, flat, num, old, lam, hi, lo, divisor, diff) -> None:
 
 
 class _StepPlan:
-    """The junctions of a run, stated once for ``build_initial_field`` and
-    ``step``: what they derive from the graph, params and policy alone, with
-    offsets into the buffers of the field's layout.  The vertex nodes, the
-    cells beside them, the weights and W (None for a transparent vertex);
-    per transparent boundary, vertex first, (history key, node, adjacent cell,
-    right end, factor A, coefficients); the Dirichlet end nodes; the pads;
-    ``kernel``, built from the params' mass, dt and n_steps when a boundary
-    is transparent (else None); ``reach``, 1 + the largest vertex or
-    transparent node; ``start``, None (every slot) unless ``run`` sets its
-    window on a plan keyed to its own SimParams, which no caller holds: a
-    step on ``result.field`` or its copy plans again and covers every slot.
-    Raises ValueError unless the params are valid with dt/dx <= 1 on the
-    graph's grid, the policy fits the graph, the params keep the mass and
-    dt of the field's plan, if it has one, and the field holds the
-    simulated bonds and, past level 0, one history of n_steps + 1 entries
-    per transparent boundary and no other; the step from level 0 sets a
-    field's histories with its plan, so a plan the field keeps still fits
-    them.  Every check comes before the kernel is built."""
+    """The junctions of a field's run, stated once when the field is made:
+    what ``build_initial_field`` and ``step`` derive from the graph, params
+    and policy alone, with offsets into the buffers of the field's layout.
+    The vertex nodes, the cells beside them, the weights and W (None for a
+    transparent vertex); per transparent boundary, vertex first, (history
+    key, node, adjacent cell, right end, factor A, coefficients); the
+    Dirichlet end nodes; the pads; ``kernel``, built from the params' mass,
+    dt and n_steps when a boundary is transparent (else None); ``reach``,
+    1 + the largest vertex or transparent node; ``start``, None (every slot)
+    except while ``run`` steps the field over its window."""
 
     def __init__(self, field, graph, params, policy) -> None:
-        params.validate()
-        check_cfl(params.dt, graph.dx)
-        policy.validate_for(graph)
-        planned = field._plan and field._plan.params
-        if planned and (planned.mass, planned.dt) != (params.mass, params.dt):
-            raise ValueError(
-                f"field planned for mass {planned.mass!r} and dt {planned.dt!r} cannot "
-                f"step with mass {params.mass!r} and dt {params.dt!r}")
-        interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
-        simulated = graph.bonds[:1] if interior_only else graph.bonds
-        if field.bonds != simulated:
-            grid = ["; ".join(f"bond {b.index}: {b.cells} cells of dx {b.dx!r}, "
-                              f"alpha {b.alpha!r}" for b in bs)
-                    for bs in (field.bonds, simulated)]
-            raise ValueError("field bonds ({}) are not the simulated bonds ({})"
-                             .format(*grid))
         self.graph, self.params, self.policy = graph, params, policy
         self.lam = params.dt / graph.dx
         self.two_lam = 2.0 * self.lam
         self.cp = 1.0 + 0.5j * params.mass * params.dt
         self.cm = 1.0 - 0.5j * params.mass * params.dt
         self.by_cp, self.by_cm = _divisor(self.cp), _divisor(self.cm)
+        interior_only = policy.vertex_mode is VertexMode.TRANSPARENT
         weighted = policy.vertex_mode is not VertexMode.KIRCHHOFF
         alphas = np.asarray(graph.alphas if weighted else [1.0] * graph.n_bonds, float)
         w_all = np.sum(1.0 / alphas ** 2)
@@ -423,13 +411,6 @@ class _StepPlan:
                 self.walls.append(node)
             else:
                 ends.append((f"end{bond.index}", node, cell, right_end, 1.0))
-        have = {key: len(h) for key, h in field.histories.items()}
-        want = {e[0]: params.n_steps + 1 for e in ends}
-        if field.time_level and have != want:
-            raise ValueError(
-                f"field at time level {field.time_level} holds histories {have}, but "
-                f"the policy's transparent boundaries need {want}: a field keeps "
-                "the boundary modes and the n_steps it started with")
         self.kernel = (BesselKernel.build(params.mass, params.dt, params.n_steps)
                        if ends else None)
         self.transparent = [
@@ -439,48 +420,31 @@ class _StepPlan:
         self.reach, self.start = 1 + max(junctions, default=-1), None
 
 
-def step(
-    field: SpinorField,
-    graph: StarGraph,
-    params: SimParams,
-    policy: BoundaryPolicy,
-) -> SpinorField:
-    """Advance ``field`` one time step in place and return it.
+def step(field: SpinorField) -> SpinorField:
+    """Advance ``field`` one time step in place, on its own plan, and return it.
 
-    Every check comes first, in the step plan, which then builds the kernel
-    from ``params`` if a boundary is transparent; a step from level 0 gives
-    the field a zeroed history of the kernel's length per transparent
-    boundary.  The vertex's new shared value and each transparent node's
-    new value, with its history entry at the old level, are computed from
-    the old level.  The phi stencil then overwrites the inner nodes, the
-    vertex, transparent and wall nodes are written, and the chi stencil
-    overwrites the cells from the new phi.  A stencil reads each slot's old
-    value where it writes the new one, so the bits are those of a step
-    into another field.  On the plan of a ``run`` the stencils cover only the
-    slots the packet can have reached, [0, start + level + 2) rounded up to
-    64 slots: beyond them the field holds +0, which is what a full stencil
-    makes of +0 inputs (at m = 0 too), so the bits are those of a full
-    step.  Every other plan covers every slot.  The constants of ``graph``,
-    ``params`` and ``policy``, the kernel among them, are planned once per
-    run (by ``build_initial_field``, else by the first step) and kept on
-    the field, so none of the three may change during a run.
-    Raises ValueError for invalid params, for dt/dx > 1, for a policy that
-    does not fit the graph, for a mass or dt other than those of the
-    field's plan, for a field whose bonds are not the simulated ones or
-    whose histories are not the plan's (a boundary mode or n_steps changed
-    mid-run), and MissingHistoryError past the kernel's n_steps; each
-    leaves the field as it was.
-    InstabilityError, when a value exceeds the overflow guard or is not
-    finite, leaves the field at the new level, which its message names.
+    A step from level 0 gives the field a zeroed history of n_steps + 1
+    entries per transparent boundary.  The vertex's new shared value and
+    each transparent node's new value, with its history entry at the old
+    level, are computed from the old level.  The phi stencil then
+    overwrites the inner nodes, the vertex, transparent and wall nodes are
+    written, and the chi stencil overwrites the cells from the new phi.  A
+    stencil reads each slot's old value where it writes the new one, so the
+    bits are those of a step into another field.  While ``run`` steps the
+    field, the stencils cover only the slots the packet can have reached,
+    [0, start + level + 2) rounded up to 64 slots: beyond them the field
+    holds +0, which is what a full stencil makes of +0 inputs (at m = 0
+    too), so the bits are those of a full step.  Otherwise they cover every
+    slot.  MissingHistoryError past the kernel's n_steps leaves the field
+    as it was.  InstabilityError, when a value exceeds the overflow guard or
+    is not finite, leaves the field at the new level, which its message
+    names.
     """
     plan = field._plan
-    if not (plan and plan.graph is graph and plan.params is params
-            and plan.policy is policy):
-        plan = _StepPlan(field, graph, params, policy)
     phi, chi = field.phi_buf, field.chi_buf
     level = field.time_level
     if level == 0:
-        field.histories = {key: np.zeros(params.n_steps + 1, complex)
+        field.histories = {key: np.zeros(plan.params.n_steps + 1, complex)
                            for key, *_ in plan.transparent}
 
     if plan.vertex is not None:
@@ -515,8 +479,8 @@ def step(
     _stencil(cells_w, cells_f, plan.cp, cells_w, plan.lam, phi_hi, phi_lo, plan.by_cm, d)
     for k in plan.pads:
         chi[k] = 0.0
-    field.time_level, field._plan = level + 1, plan
-    _check_stability(field, params)
+    field.time_level = level + 1
+    _check_stability(field, plan.params)
     return field
 
 
@@ -601,9 +565,9 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
     n dt.  ``policy`` defaults to ``config.build_policy()``; runs with the
     same boundary modes may share one.  The run steps one field in place,
     over the window of slots that the packet can have reached (see
-    ``step``): it sets the window's ``start`` once, on the plan of its own
-    params, past the source bond and the vertex and transparent nodes, so
-    a step on the returned field covers every slot.
+    ``step``): it sets the window's ``start`` on the field's plan, past the
+    source bond and the vertex and transparent nodes, and clears it after
+    its last step, so a step on the returned field covers every slot.
     Step instability propagates.
     """
     from .diagnostics import compute_record, node_profile
@@ -643,6 +607,7 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
     plan.start = max(field._cuts[config.source_bond - 1][0].stop, plan.reach)
     observe(0)
     for n in range(1, params.n_steps + 1):
-        step(field, graph, params, policy)
+        step(field)
         observe(n)
+    plan.start = None
     return RunResult(records, snapshots, graph, field)

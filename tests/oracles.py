@@ -433,7 +433,7 @@ def run_loop_reference(config, solver, diagnostics):
     records, snapshots = [], []
     for n in range(params.n_steps + 1):
         if n:
-            solver.step(field, graph, params, policy)
+            solver.step(field)
         if n % config.sample_every == 0 or n == params.n_steps:
             records.append(diagnostics.compute_record(field, params, n * params.dt))
         if n in snap_steps:

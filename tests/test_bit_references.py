@@ -56,12 +56,8 @@ def stars(draw):
     return graph, BoundaryPolicy(vertex, ends), params
 
 
-def domain(graph, policy):
-    return graph.bonds[:1] if policy.vertex_mode is VertexMode.TRANSPARENT else graph.bonds
-
-
-def random_field(draw, bonds):
-    field = SpinorField(bonds)
+def random_field(draw, graph, params, policy):
+    field = SpinorField(graph, params, policy)
     for arr in field.phi + field.chi:
         arr[:] = draw(st.lists(values, min_size=len(arr), max_size=len(arr)))
     return field
@@ -75,7 +71,7 @@ def bits(*numbers):
 @given(stars(), st.data())
 def test_diagnostics_match_the_per_bond_forms(star, data):
     graph, policy, params = star
-    field = random_field(data.draw, domain(graph, policy))
+    field = random_field(data.draw, graph, params, policy)
     record = compute_record(field, params, 0.5)
     partial, total, e, refl = compute_record_reference(field, params)
     assert bits(*record.partial_norms, record.total_norm, record.energy,
@@ -93,7 +89,8 @@ def test_initial_junctions_match_the_per_bond_form(star, data):
     # the packet is any drawn spinor: build_initial_field samples it through
     # gaussian_spinor, which the test replaces
     graph, policy, params = star
-    bonds = domain(graph, policy)
+    expected = SpinorField(graph, params, policy)
+    bonds = expected.bonds
     b = data.draw(st.integers(0, len(bonds) - 1))
     phi0, chi0 = (np.array(data.draw(st.lists(values, min_size=m, max_size=m)))
                   for m in (bonds[b].cells + 1, bonds[b].cells))
@@ -103,7 +100,6 @@ def test_initial_junctions_match_the_per_bond_form(star, data):
         field = build_initial_field(graph, params, policy, x0=0.0, sigma=1.0,
                                     bond_index=b + 1, amplitude=amplitude,
                                     normalize=normalize)
-    expected = SpinorField(bonds)
     expected.phi[b][:], expected.chi[b][:] = amplitude * phi0, amplitude * chi0
     initial_field_reference(
         expected, params, graph.alphas, policy.vertex_mode.value,

@@ -142,9 +142,9 @@ def test_missing_history_signalled():
     policy = BoundaryPolicy(VertexMode.KIRCHHOFF, (EndMode.TRANSPARENT,) * 2)
     field = build_initial_field(line, params, policy, x0=-1.0, sigma=0.2)
     for _ in range(3):
-        field = step(field, line, params, policy)
+        field = step(field)
     with pytest.raises(MissingHistoryError):
-        step(field, line, params, policy)
+        step(field)
 
 
 def test_convolution_rounds_as_the_copied_half_weight():
@@ -199,7 +199,7 @@ def test_apply_vertex_enforces_conditions_exactly():
         field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
         peak = 0.0
         for _ in range(50):
-            field = step(field, graph, params, policy)
+            field = step(field)
             chain = np.asarray(alphas) * vertex_values(field)
             assert np.all(np.abs(chain - chain[0]) <= 1e-12)
             peak = max(peak, abs(chain[0]))
@@ -221,7 +221,7 @@ def test_apply_vertex_weighted_distribution():
     assert shared / alphas[0] == pytest.approx(p / 2, rel=1e-12)  # projection halves it
     # with no flux the shared value only turns by the mass phase, and the
     # new vertex values split by sqrt(2/3), sqrt(1/3)
-    field = step(field, graph, params, policy)
+    field = step(field)
     phi = vertex_values(field)
     cp = 1.0 + 0.5j * params.mass * params.dt
     cm = 1.0 - 0.5j * params.mass * params.dt
@@ -239,7 +239,7 @@ def test_step_kirchhoff_vertex_ignores_weights():
         policy = BoundaryPolicy(mode, (EndMode.DIRICHLET,) * 2)
         field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
         for _ in range(50):
-            field = step(field, graph, params, policy)
+            field = step(field)
         return field
 
     kirchhoff = evolve((3.0, 5.0), VertexMode.KIRCHHOFF)

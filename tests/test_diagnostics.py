@@ -26,6 +26,12 @@ def canonical_graph(length=20.0, dx=0.0125):
     return build_star_graph([(a, length, dx) for a in CANONICAL_ALPHAS])
 
 
+def zero_field(graph, params):
+    """A zero field on every bond of ``graph``, walled at the far ends."""
+    walls = BoundaryPolicy(VertexMode.KIRCHHOFF, (EndMode.DIRICHLET,) * graph.n_bonds)
+    return SpinorField(graph, params, walls)
+
+
 def make_record(norms, t=10.0):
     total = float(sum(norms))
     return DiagnosticsRecord(t, tuple(norms), total, 0.0, norms[0] / total)
@@ -37,7 +43,7 @@ def make_record(norms, t=10.0):
 def test_partial_norm_zero_field():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.01, dt=0.04, n_steps=1)
-    field = SpinorField(g.bonds)
+    field = zero_field(g, params)
     assert partial_norm(field, 1, params) == 0.0
     assert total_norm(field, params) == 0.0
 
@@ -63,7 +69,7 @@ def test_reflection_examples():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.3, dt=0.04, n_steps=1)
     rng = np.random.default_rng(7)
-    field = SpinorField(g.bonds)
+    field = zero_field(g, params)
     for arr in field.phi + field.chi:
         arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
     want = partial_norm(field, 1, params) / total_norm(field, params)
@@ -71,7 +77,7 @@ def test_reflection_examples():
     for arr in field.phi[1:] + field.chi[1:]:
         arr[:] = 0.0
     assert compute_record(field, params, 0.0).reflection == 1.0
-    zero = compute_record(SpinorField(g.bonds), params, 0.0)
+    zero = compute_record(zero_field(g, params), params, 0.0)
     assert zero.reflection == 0.0
     with pytest.raises(ValueError, match="zero total norm"):
         transmitted_fractions(zero)
@@ -107,7 +113,7 @@ def test_four_bond_equal_weights_split_equally():
     policy = BoundaryPolicy(VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * 4)
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
     for _ in range(1000):
-        field = step(field, g, params, policy)
+        field = step(field)
     rec = compute_record(field, params, 10.0)
     assert rec.reflection < 0.01
     fractions = transmitted_fractions(rec)
@@ -120,14 +126,14 @@ def test_four_bond_equal_weights_split_equally():
 def test_energy_zero_field():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.01, dt=0.04, n_steps=1)
-    assert energy(SpinorField(g.bonds), params) == 0.0
+    assert energy(zero_field(g, params), params) == 0.0
 
 
 def test_energy_without_chi_is_phi_norm():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.3, dt=0.04, n_steps=1)
     rng = np.random.default_rng(2)
-    field = SpinorField(g.bonds)
+    field = zero_field(g, params)
     expected = 0.0
     for p in field.phi:
         p[:] = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
@@ -140,7 +146,7 @@ def test_energy_invariant_under_global_phase():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.3, dt=0.04, n_steps=1)
     rng = np.random.default_rng(4)
-    field = SpinorField(g.bonds)
+    field = zero_field(g, params)
     for p in field.phi:
         p[:] = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
     for c in field.chi:
@@ -159,9 +165,9 @@ def test_energy_invariant_under_global_phase():
 # -------------------------------------------------------------- boundary form
 
 
-def smooth_field(graph, rng):
+def smooth_field(graph, params, rng):
     """Random band-limited field, zero at the far ends."""
-    field = SpinorField(graph.bonds)
+    field = zero_field(graph, params)
     for b, bond in enumerate(graph.bonds):
         x = bond.node_coordinates()
         xc = bond.cell_coordinates()
@@ -204,8 +210,8 @@ def test_boundary_form_vanishes_for_coupled_fields(mode_alphas):
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.1, dt=0.04, n_steps=1)
     rng = np.random.default_rng(6)
-    psi = impose_vertex_conditions(smooth_field(g, rng), g, alphas)
-    phi = impose_vertex_conditions(smooth_field(g, rng), g, alphas)
+    psi = impose_vertex_conditions(smooth_field(g, params, rng), g, alphas)
+    phi = impose_vertex_conditions(smooth_field(g, params, rng), g, alphas)
     omega = boundary_form_reference(psi, phi)
     scale = np.sqrt(total_norm(psi, params) * total_norm(phi, params))
     assert abs(omega) < 1e-10 * scale
@@ -215,8 +221,8 @@ def test_boundary_form_nonzero_for_random_fields():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.1, dt=0.04, n_steps=1)
     rng = np.random.default_rng(42)
-    psi = smooth_field(g, rng)
-    phi = smooth_field(g, rng)
+    psi = smooth_field(g, params, rng)
+    phi = smooth_field(g, params, rng)
     omega = boundary_form_reference(psi, phi)
     scale = np.sqrt(total_norm(psi, params) * total_norm(phi, params))
     assert abs(omega) > 1e-6 * scale

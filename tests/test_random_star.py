@@ -65,7 +65,7 @@ def test_random_star_keeps_vertex_chain(pair):
     fields = [packet(g, p) for g, p in stars]
     for _ in range(PARAMS.n_steps):
         for i, (alphas, (graph, policy)) in enumerate(zip(weight_sets, stars)):
-            fields[i] = step(fields[i], graph, PARAMS, policy)
+            fields[i] = step(fields[i])
             chain = effective_weights(alphas, mode) * vertex_values(fields[i])
             assert np.all(np.abs(chain - chain[0]) <= 1e-12)
 
@@ -79,7 +79,7 @@ def test_random_star_conserves_energy(pair):
     e0 = [energy(f, PARAMS) for f in fields]
     for _ in range(PARAMS.n_steps):
         for i, (graph, policy) in enumerate(stars):
-            fields[i] = step(fields[i], graph, PARAMS, policy)
+            fields[i] = step(fields[i])
             assert abs(energy(fields[i], PARAMS) - e0[i]) <= 1e-12 * e0[i]
 
 
@@ -91,16 +91,16 @@ def test_random_star_step_is_linear(pair, seed):
     a, b = 0.6 - 0.3j, -1.1 + 0.7j
     for graph, policy in (closed_star(alphas, mode) for alphas in weight_sets):
         f1 = packet(graph, policy)
-        f2 = SpinorField(graph.bonds)
+        f2 = SpinorField(graph, PARAMS, policy)
         for arr in f2.phi + f2.chi:
             arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
-        mixed = SpinorField(graph.bonds)
+        mixed = SpinorField(graph, PARAMS, policy)
         for lhs, u, v in zip(mixed.phi + mixed.chi, f1.phi + f1.chi, f2.phi + f2.chi):
             lhs[:] = a * u + b * v
         mixed.initial_max = mixed.max_abs()
         f2.initial_max = f2.max_abs()
         for _ in range(PARAMS.n_steps):
-            f1, f2, mixed = (step(f, graph, PARAMS, policy) for f in (f1, f2, mixed))
+            f1, f2, mixed = (step(f) for f in (f1, f2, mixed))
         for lhs, u, v in zip(mixed.phi + mixed.chi, f1.phi + f1.chi, f2.phi + f2.chi):
             np.testing.assert_allclose(lhs, a * u + b * v, rtol=0, atol=1e-12)
 
@@ -189,7 +189,7 @@ def test_random_star_step_is_the_expression_stencil(params, mode, star):
     cm = 1.0 - 0.5j * params.mass * params.dt
     for _ in range(params.n_steps):
         old = field.copy()
-        assert step(field, graph, params, policy) is field
+        assert step(field) is field
         assert_packed(field)
         assert_junctions(old, field, graph, policy)
         assert field.time_level == old.time_level + 1
@@ -230,8 +230,8 @@ def test_every_field_sits_on_an_aligned_arena(mode, star):
     # in place leave the gaps +0
     graph, policy = random_star(PARAMS, mode, star)
     field = packet(graph, policy)
-    for f in (field, field.copy(), SpinorField(field.bonds)):
+    for f in (field, field.copy(), SpinorField(graph, PARAMS, policy)):
         assert_aligned(f)
     for _ in range(PARAMS.n_steps):
-        step(field, graph, PARAMS, policy)
+        step(field)
         assert_aligned(field)

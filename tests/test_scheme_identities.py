@@ -68,14 +68,14 @@ def test_steps_forward_and_back_return_to_the_start(star):
     graph = build_star_graph([(a, c * dx, dx) for a, c in zip(alphas, cells)])
     policy = BoundaryPolicy(mode, (EndMode.DIRICHLET,) * len(alphas))
     rng = np.random.default_rng(star[5])
-    field = SpinorField(graph.bonds)
+    field = SpinorField(graph, params, policy)
     for arr in field.phi + field.chi:
         arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
     field.initial_max = field.max_abs()
-    field = step(field, graph, params, policy)
+    field = step(field)
     start = np.concatenate(field.phi + field.chi)
     for _ in range(REVERSAL_STEPS):
-        field = step(field, graph, params, policy)
+        field = step(field)
     phi, chi = [p.copy() for p in field.phi], [c.copy() for c in field.chi]
     weights = alphas if mode is VertexMode.WEIGHTED else [1.0] * len(alphas)
     cp, cm = 1.0 + 0.5j * mass * params.dt, 1.0 - 0.5j * mass * params.dt
@@ -127,7 +127,7 @@ def assert_standing_mode_turns_at_the_scheme_frequency(mass, lam, p):
     ls = params.dt / dx * np.sin(0.5 * k * dx)
     theta = np.arctan2(np.hypot(ls, mu), np.sqrt((1.0 - ls) * (1.0 + ls)))
     b = -1j * ls / (np.sin(theta) + mu * np.cos(theta))
-    field = SpinorField(graph.bonds)
+    field = SpinorField(graph, params, policy)
     for p_arr, c_arr, bond in zip(field.phi, field.chi, graph.bonds):
         p_arr[:] = np.exp(1j * theta) * np.sin(k * (bond.node_coordinates() + length))
         c_arr[:] = b * np.cos(k * (bond.cell_coordinates() + length))
@@ -135,7 +135,7 @@ def assert_standing_mode_turns_at_the_scheme_frequency(mass, lam, p):
     field.initial_max = field.max_abs()
     start = np.concatenate(field.phi + field.chi)
     for _ in range(n):
-        field = step(field, graph, params, policy)
+        field = step(field)
     got = np.concatenate(field.phi + field.chi)
     gap = np.linalg.norm(got - np.exp(-2j * theta * n) * start)
     assert gap <= dispersion_bound(params.dt / dx, n) * np.linalg.norm(start)

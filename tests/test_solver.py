@@ -36,16 +36,6 @@ from .conftest import CANONICAL_ALPHAS, CONFIG_DIR
 from .oracles import gaussian, run_loop_reference
 
 
-def bonds_message(field_bonds, simulated_bonds):
-    """The step plan's message for a field whose bonds are not simulated."""
-    field_grid, simulated_grid = (
-        "; ".join(f"bond {b.index}: {b.cells} cells of dx {b.dx!r}, alpha {b.alpha!r}"
-                  for b in bonds)
-        for bonds in (field_bonds, simulated_bonds))
-    return "^" + re.escape(f"field bonds ({field_grid}) are not the simulated bonds "
-                           f"({simulated_grid})") + "$"
-
-
 def line_graph(length=20.0, dx=0.0125):
     return build_star_graph([(1.0, length, dx), (1.0, length, dx)])
 
@@ -145,30 +135,25 @@ def test_normalization_flag():
 def test_zero_field_stays_zero():
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, n_steps=1)
-    policy = dirichlet_policy(g)
-    field = SpinorField(g.bonds)
-    out = step(field, g, params, policy)
+    field = SpinorField(g, params, dirichlet_policy(g))
+    out = step(field)
     assert all(np.all(p == 0) for p in out.phi)
     assert all(np.all(c == 0) for c in out.chi)
     assert out.time_level == 1
 
 
-def random_field(graph, rng, amplitude=1.0):
-    field = SpinorField(graph.bonds)
+def random_field(graph, params, policy, rng):
+    field = SpinorField(graph, params, policy)
     for p in field.phi:
-        p[:] = amplitude * (
-            rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
-        )
+        p[:] = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
     for c in field.chi:
-        c[:] = amplitude * (
-            rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
-        )
+        c[:] = rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
     field.initial_max = field.max_abs()
     return field
 
 
-def combine(graph, a, f1, b, f2):
-    out = SpinorField(graph.bonds)
+def combine(a, f1, b, f2):
+    out = f1.copy()
     for i in range(len(out.phi)):
         out.phi[i][:] = a * f1.phi[i] + b * f2.phi[i]
         out.chi[i][:] = a * f1.chi[i] + b * f2.chi[i]
@@ -180,14 +165,13 @@ def combine(graph, a, f1, b, f2):
 def test_step_is_linear(mode):
     g = build_star_graph([(a, 2.0, 0.05) for a in CANONICAL_ALPHAS])
     params = SimParams(mass=0.2, dt=0.04, n_steps=1)
+    policy = dirichlet_policy(g, mode)
     rng = np.random.default_rng(21)
-    f1 = random_field(g, rng)
-    f2 = random_field(g, rng)
+    f1 = random_field(g, params, policy, rng)
+    f2 = random_field(g, params, policy, rng)
     a, b = 0.6 - 0.3j, -1.1 + 0.7j
-    lhs = step(combine(g, a, f1, b, f2), g, params, dirichlet_policy(g, mode))
-    s1 = step(f1, g, params, dirichlet_policy(g, mode))
-    s2 = step(f2, g, params, dirichlet_policy(g, mode))
-    rhs = combine(g, a, s1, b, s2)
+    lhs = step(combine(a, f1, b, f2))
+    rhs = combine(a, step(f1), b, step(f2))
     for i in range(g.n_bonds):
         np.testing.assert_allclose(lhs.phi[i], rhs.phi[i], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(lhs.chi[i], rhs.chi[i], rtol=1e-12, atol=1e-12)
@@ -201,7 +185,7 @@ def test_massless_transport_on_line():
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9,
                                 normalize=False)
     for _ in range(300):
-        field = step(field, g, params, policy)
+        field = step(field)
     x1, _, _, d1 = node_profile(field, 1, params)
     expected = 2.0 * gaussian(x1, -2.0, 0.9) ** 2
     assert np.max(np.abs(d1 - expected)) < 1e-2
@@ -213,7 +197,7 @@ def test_one_step_energy_exact():
     policy = dirichlet_policy(g, VertexMode.WEIGHTED)
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
     e0 = energy(field, params)
-    field = step(field, g, params, policy)
+    field = step(field)
     assert energy(field, params) == pytest.approx(e0, rel=1e-14)
 
 
@@ -226,7 +210,7 @@ def test_energy_exactly_conserved_closed_system(mode):
     e0 = energy(field, params)
     worst = 0.0
     for _ in range(250):
-        field = step(field, g, params, policy)
+        field = step(field)
         worst = max(worst, abs(energy(field, params) - e0))
     assert worst <= 1e-12 * abs(e0)
 
@@ -239,7 +223,7 @@ def test_norm_drift_small_closed_system():
     n0 = total_norm(field, params)
     worst = 0.0
     for _ in range(1000):
-        field = step(field, g, params, policy)
+        field = step(field)
         worst = max(worst, abs(total_norm(field, params) - n0))
     assert worst < 1e-3 * n0
 
@@ -249,15 +233,14 @@ def test_vertex_invisible_on_unit_line():
     dx, dt, mass = 0.05, 0.04, 0.3
     g = line_graph(length=2.0, dx=dx)
     params = SimParams(mass=mass, dt=dt, n_steps=1)
-    rng = np.random.default_rng(3)
-    field = random_field(g, rng)
+    field = random_field(g, params, dirichlet_policy(g), np.random.default_rng(3))
     c = g.bonds[0].cells
 
     # assemble the equivalent single line [-2, 2]
     line_phi = np.concatenate([field.phi[0], field.phi[1][1:]])
     line_phi[c] = 0.5 * (field.phi[0][-1] + field.phi[1][0])
     line_chi = np.concatenate([field.chi[0], field.chi[1]])
-    stepped = step(field, g, params, dirichlet_policy(g))
+    stepped = step(field)
 
     lam, cp, cm = dt / dx, 1 + 0.5j * mass * dt, 1 - 0.5j * mass * dt
     ref_phi = line_phi.copy()
@@ -280,10 +263,10 @@ def test_guard_trip_leaves_the_field_at_the_level_it_names():
     policy = dirichlet_policy(g)
     field = build_initial_field(g, params, policy, x0=-1.0, sigma=0.2)
     for _ in range(3):
-        step(field, g, params, policy)
+        step(field)
     field.phi[0][10] = 2 * OVERFLOW_FACTOR * field.initial_max
     with pytest.raises(InstabilityError, match="grew") as err:
-        step(field, g, params, policy)
+        step(field)
     assert field.time_level == 4
     assert re.search(rf"\bat step {field.time_level}\b", str(err.value))
 
@@ -291,7 +274,7 @@ def test_guard_trip_leaves_the_field_at_the_level_it_names():
 def test_instability_names_step_bond_and_node_class():
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, n_steps=1)
-    field = random_field(g, np.random.default_rng(6))
+    field = random_field(g, params, dirichlet_policy(g), np.random.default_rng(6))
     field.time_level = 7
     # a NaN at the far end of bond 2 (outgoing: its last phi node)
     bad = field.copy()
@@ -320,7 +303,7 @@ def test_guard_verdicts_and_messages_on_either_row(component):
     # either row keeps its verdict and the message that names it
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, n_steps=1)
-    field = random_field(g, np.random.default_rng(11))
+    field = random_field(g, params, dirichlet_policy(g), np.random.default_rng(11))
     field.time_level = 7
     limit = OVERFLOW_FACTOR * field.initial_max
     kind = {"phi": "phi node", "chi": "chi cell"}[component]
@@ -378,7 +361,7 @@ def test_guard_raises_iff_peak_exceeds_limit(data):
             a[k] = complex(a[k].real, value)
         else:
             a[k] = complex(value, a[k].imag)
-    field = SpinorField(g.bonds)
+    field = SpinorField(g, params, dirichlet_policy(g))
     for view, a in zip(field.phi + field.chi, arrays[0::2] + arrays[1::2]):
         view[:] = a
     field.initial_max = initial_max
@@ -402,7 +385,7 @@ def test_guard_skips_exact_peak_on_a_healthy_run(canonical_config, monkeypatch):
         SpinorField, "max_abs", lambda self: calls.append(1) or original(self)
     )
     for _ in range(100):
-        field = step(field, graph, params, policy)
+        field = step(field)
     assert field.time_level == 100 and field.initial_max > 0
     assert calls == []
 
@@ -415,6 +398,8 @@ def test_sim_params_validation():
         ((-1.0, 0.01, 10), r"^mass must be finite and non-negative, got -1\.0$"),
         ((0.01, 0.0, 10), r"^dt must be finite and positive, got 0\.0$"),
         ((0.01, 0.01, -1), r"^n_steps must be non-negative, got -1$"),
+        ((0.01, 0.01, 10.5), r"^n_steps must be an integer, got 10\.5$"),
+        ((0.01, 0.01, np.nan), r"^n_steps must be an integer, got nan$"),
     ]:
         with pytest.raises(ValueError, match=cause):
             SimParams(*args).validate()
@@ -440,7 +425,7 @@ def test_field_constructor_copies_and_views_are_fixed():
     g = line_graph(length=2.0, dx=0.05)
     phi = [np.full(41, 1.0 + 2.0j), np.full(41, 3.0 + 0j)]
     chi = [np.full(40, -1.0j), np.full(40, 0.5 + 0j)]
-    field = SpinorField(g.bonds)
+    field = SpinorField(g, SimParams(0.0, 0.04, 1), dirichlet_policy(g))
     for view, a in zip(field.phi + field.chi, phi + chi):
         view[:] = a
     want = [a.tobytes() for a in phi + chi]
@@ -466,7 +451,7 @@ def test_initial_field_rejects_bond_outside_domain():
 def test_initial_field_rejects_non_finite_amplitude(amplitude, monkeypatch):
     # unchecked, nan ended as "non-finite field value at step 1 (interior)";
     # the check comes before any field is allocated
-    def no_field(self, bonds):
+    def no_field(self, *args):
         raise AssertionError("field allocated")
 
     monkeypatch.setattr(SpinorField, "__init__", no_field)
@@ -477,60 +462,20 @@ def test_initial_field_rejects_non_finite_amplitude(amplitude, monkeypatch):
                             amplitude=amplitude)
 
 
-def test_step_rejects_partial_field():
-    g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, n_steps=4)
-    field = SpinorField(g.bonds[:2])
-    with pytest.raises(ValueError, match=bonds_message(g.bonds[:2], g.bonds)):
-        step(field, g, params, dirichlet_policy(g))
-
-
-def test_step_rejects_a_field_on_another_grid():
-    # a field of 2 x 40 cells of dx 0.05 stepped with a graph of 2 x 40
-    # cells of dx 0.025: unchecked, it stepped at the graph's dt/dx = 0.8,
-    # where its own grid gives 0.4
-    coarse, fine = line_graph(length=2.0, dx=0.05), line_graph(length=1.0, dx=0.025)
-    params = SimParams(mass=0.3, dt=0.02, n_steps=10)
-    field = build_initial_field(coarse, params, dirichlet_policy(coarse),
-                                x0=-1.0, sigma=0.2)
-    before = field_state(field)
-    with pytest.raises(ValueError, match=bonds_message(coarse.bonds, fine.bonds)):
-        step(field, fine, params, dirichlet_policy(fine))
-    assert field_state(field) == before
-
-
-@pytest.mark.parametrize("planned", [True, False], ids=["replanned", "unplanned"])
-def test_step_checks_the_policy_against_the_graph(planned):
+def test_a_field_checks_the_policy_against_the_graph():
     # a 2-end-mode policy on a 3-bond star left bond 3's far-end phi at a
-    # stale value, whether the field was planned for another policy or not
-    # planned at all
+    # stale value; a field is made with its policy, so the policy is
+    # checked when the field is made
     g = canonical_graph()
     params = SimParams(mass=0.01, dt=0.01, n_steps=4)
-    policy = dirichlet_policy(g, VertexMode.WEIGHTED)
-    if planned:
-        field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
-    else:
-        field = SpinorField(g.bonds)
     short = BoundaryPolicy(VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * 2)
     with pytest.raises(ValueError, match="policy has 2 end modes for 3 bonds"):
-        step(field, g, params, short)
-
-
-@pytest.mark.parametrize("change", [{"dt": 0.005}, {"mass": 0.5}],
-                         ids=["replanned-half_dt", "replanned-mass"])
-def test_step_checks_the_kernel_against_the_params(change):
-    # open_line.cfg's initial field, planned for dt = 0.01 and m = 0.01 and
-    # stepped with dt halved or another mass, once ran on the kernel built
-    # for the planned values with no error; its half step in time is theirs
-    cfg = load_config(CONFIG_DIR / "open_line.cfg")
-    graph, policy = cfg.build_graph(), cfg.build_policy()
-    params = cfg.sim_params()
-    field = build_initial_field(graph, params, policy, x0=cfg.x0, sigma=cfg.sigma)
-    before = field_state(field)
-    with pytest.raises(ValueError, match=r"^field planned for mass 0\.01 and dt 0\.01 "
-                       "cannot step with mass "):
-        step(field, graph, replace(params, **change), policy)
-    assert field_state(field) == before
+        SpinorField(g, params, short)
+    with pytest.raises(ValueError, match="policy has 2 end modes for 3 bonds"):
+        build_initial_field(g, params, short, x0=-5.0, sigma=0.9)
+    # a transparent vertex simulates bond 1 alone
+    policy = BoundaryPolicy(VertexMode.TRANSPARENT, (EndMode.DIRICHLET,) * 3)
+    assert SpinorField(g, params, policy).bonds == g.bonds[:1]
 
 
 def test_initial_field_takes_one_peak(monkeypatch):
@@ -549,18 +494,9 @@ def test_initial_field_takes_one_peak(monkeypatch):
     assert field.initial_max == original(field) > 0
 
 
-def test_transparent_vertex_rejects_full_graph_field():
-    g = canonical_graph()
-    params = SimParams(mass=0.01, dt=0.01, n_steps=4)
-    policy = BoundaryPolicy(VertexMode.TRANSPARENT, (EndMode.DIRICHLET,) * 3)
-    field = SpinorField(g.bonds)
-    with pytest.raises(ValueError, match=bonds_message(g.bonds, g.bonds[:1])):
-        step(field, g, params, policy)
-
-
 def test_transparent_vertex_factor_taken_once_per_weight_set(monkeypatch):
-    # the factor's Python loop over the weights runs once per run, when
-    # build_initial_field plans the run, not every step
+    # the factor's Python loop over the weights runs once per field, when
+    # the field is made, not every step
     calls = []
     original = solver.vertex_tbc_factor
     monkeypatch.setattr(
@@ -571,24 +507,41 @@ def test_transparent_vertex_factor_taken_once_per_weight_set(monkeypatch):
     policy = make_policy()
     field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
     for _ in range(20):
-        field = step(field, graph, params, policy)
+        field = step(field)
     assert calls == [graph.alphas]
 
 
 def test_run_builds_one_step_plan(canonical_config, monkeypatch):
-    # build_initial_field plans the run, and every step reuses that plan
-    plans = []
+    # a field is planned once, when it is made, and every step reuses that
+    # plan and its kernel, at O(n_steps) a build
+    plans, builds = [], []
 
     class Counted(solver._StepPlan):
         def __init__(self, *args):
             plans.append(1)
             super().__init__(*args)
 
+    build = BesselKernel.build
     monkeypatch.setattr(solver, "_StepPlan", Counted)
-    for config in (canonical_config, load_config(CONFIG_DIR / "open_line.cfg")):
-        plans.clear()
+    monkeypatch.setattr(
+        BesselKernel, "build", lambda *args: builds.append(args) or build(*args)
+    )
+    open_line = load_config(CONFIG_DIR / "open_line.cfg")
+    for config, kernels in ((canonical_config, 0), (open_line, 1)):
+        del plans[:], builds[:]
         run(replace(config, n_steps=20, snapshot_times=()))
-        assert len(plans) == 1
+        assert (len(plans), len(builds)) == (1, kernels)
+    # the README's library loop: two fields, 100 steps each, then a copy
+    del plans[:], builds[:]
+    graph, params = open_line.build_graph(), open_line.sim_params()
+    policy = open_line.build_policy()
+    runs = [build_initial_field(graph, params, policy, x0=x0, sigma=0.9)
+            for x0 in (-5.0, -3.0)]
+    for _ in range(100):
+        runs = [step(field) for field in runs]
+    assert (len(plans), len(builds)) == (2, 2)
+    runs[0].copy()
+    assert (len(plans), len(builds)) == (3, 3)
 
 
 # ---------------------------------------------------------- boundary histories
@@ -616,12 +569,12 @@ def test_one_policy_serves_interleaved_runs():
             for x in starts
         ]
         for _ in range(60):
-            together = [step(f, graph, params, shared) for f in together]
+            together = [step(f) for f in together]
         for x, joint in zip(starts, together):
             own = make_policy()
             alone = build_initial_field(graph, params, own, x0=x, sigma=0.2)
             for _ in range(60):
-                alone = step(alone, graph, params, own)
+                alone = step(alone)
             for a, b in zip(joint.phi + joint.chi, alone.phi + alone.chi):
                 assert np.array_equal(a, b)
             assert sorted(joint.histories) == sorted(alone.histories)
@@ -635,60 +588,41 @@ def field_state(field):
             {key: h[:].tobytes() for key, h in field.histories.items()})
 
 
-@pytest.mark.parametrize("cause", ["policy", "kernel", "mass", "level", "missing"])
+# a field is made with its run constants, so a level past its kernel is
+# the one cause for which a step raises before it writes
+@pytest.mark.parametrize("cause", ["missing"])
 @pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
 def test_a_step_that_raises_leaves_the_field_as_it_was(cause, run_index):
-    # every check comes before the first write: a policy that does not fit
-    # the graph, a dt or a mass other than the field's plan, a missing
-    # history (end 1 made transparent after 5 steps with a wall) and a level
-    # past the kernel, on fields at level 5 (6 for the last) whose transparent
-    # boundaries' histories (two, or one for the missing history) are
-    # written at every level below it
+    # the kernel covers levels 0..5, the run 5 steps: the step from level 6
+    # raises before its first write, on a field whose two transparent
+    # boundaries' histories are written at every level below it
     params, runs = open_runs()
     graph, make_policy = runs[run_index]
-    policy = start = make_policy()
-    if cause == "missing":  # the kernel covers levels 0..5, the run 5 steps
-        params = replace(params, n_steps=5)
-    if cause == "level":
-        start = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET, *policy.end_modes[1:]))
-    field = build_initial_field(graph, params, start, x0=-1.0, sigma=0.2)
-    for _ in range(5):
-        field = step(field, graph, params, start)
-    args, error = {
-        "policy": ((graph, params, BoundaryPolicy(
-            policy.vertex_mode, policy.end_modes[:-1])), ValueError),
-        "kernel": ((graph, replace(params, dt=0.5 * params.dt), policy), ValueError),
-        "mass": ((graph, replace(params, mass=2.0 * params.mass), policy), ValueError),
-        "level": ((graph, params, policy), ValueError),
-        "missing": ((graph, params, policy), MissingHistoryError),
-    }[cause]
-    if cause == "missing":
-        field = step(field, *args)  # level 5, the kernel's last
+    params = replace(params, n_steps=5)
+    field = build_initial_field(graph, params, make_policy(), x0=-1.0, sigma=0.2)
+    for _ in range(6):
+        field = step(field)
     before = field_state(field)
-    assert len(before[3]) == 2 - (cause == "level") and before[2] == 5 + (cause == "missing")
-    with pytest.raises(error):
-        step(field, *args)
+    assert len(before[3]) == 2 and before[2] == 6
+    with pytest.raises(MissingHistoryError):
+        step(field)
     assert field_state(field) == before
 
 
 @pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
 def test_cfl_above_one_is_rejected_before_the_first_write(run_index):
     # dt/dx = 1.2 on the library path: unchecked, the field was built and
-    # stepped at the unstable ratio until the overflow guard tripped
+    # stepped at the unstable ratio until the overflow guard tripped; the
+    # rule runs when the field is made, before any allocation
     params, runs = open_runs()
     graph, make_policy = runs[run_index]
     policy = make_policy()
     fast = replace(params, dt=1.2 * graph.dx)
-    with pytest.raises(ValueError, match=r"^CFL violated: dt/dx = 1\.2\d* exceeds 1$"):
+    cause = r"^CFL violated: dt/dx = 1\.2\d* exceeds 1$"
+    with pytest.raises(ValueError, match=cause):
         build_initial_field(graph, fast, policy, x0=-1.0, sigma=0.2)
-    field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
-    for _ in range(5):
-        field = step(field, graph, params, policy)
-    before = field_state(field)
-    assert len(before[3]) == 2 and before[2] == 5
-    with pytest.raises(ValueError, match=r"^CFL violated: dt/dx = 1\.2\d* exceeds 1$"):
-        step(field, graph, fast, policy)
-    assert field_state(field) == before
+    with pytest.raises(ValueError, match=cause):
+        SpinorField(graph, fast, policy)
 
 
 @pytest.mark.parametrize("dt, cause", [
@@ -703,52 +637,8 @@ def test_library_path_names_a_dt_that_is_not_positive(dt, cause):
     params, policy = SimParams(mass=0.3, dt=dt, n_steps=10), dirichlet_policy(g)
     with pytest.raises(ValueError, match=cause):
         build_initial_field(g, params, policy, x0=-1.0, sigma=0.2)
-    field = random_field(g, np.random.default_rng(8))
-    before = field_state(field)
     with pytest.raises(ValueError, match=cause):
-        step(field, g, params, policy)
-    assert field_state(field) == before
-
-
-def test_a_field_stepped_with_other_boundary_modes_is_rejected():
-    # a transparent end that the run did not start with has no history of
-    # the levels the field has stepped
-    params, runs = open_runs()
-    for graph, make_policy in runs:
-        policy = make_policy()
-        walls = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET,) * graph.n_bonds)
-        field = build_initial_field(graph, params, walls, x0=-1.0, sigma=0.2)
-        for _ in range(5):
-            step(field, graph, params, walls)
-        with pytest.raises(
-            ValueError, match=r"^field at time level 5 holds histories \{.*'end1': 61"
-        ):
-            step(field, graph, params, policy)
-
-
-@pytest.mark.parametrize("switch", ["walls", "longer_kernel"])
-@pytest.mark.parametrize("run_index", [0, 1], ids=["transparent_ends", "transparent_vertex"])
-def test_a_field_stepped_on_with_walls_or_a_longer_kernel_is_rejected(run_index, switch):
-    # the reverse switch: unchecked, 5 transparent steps and then steps with
-    # walls ran silently and left the transparent ends' histories 5 levels
-    # behind the field; and a kernel longer than the one the histories were
-    # made for (here, of params with twice the steps) stepped once more,
-    # then raised IndexError
-    params, runs = open_runs()
-    graph, make_policy = runs[run_index]
-    policy = other = make_policy()
-    longer = params
-    if switch == "walls":
-        other = BoundaryPolicy(policy.vertex_mode, (EndMode.DIRICHLET,) * graph.n_bonds)
-    else:
-        longer = replace(params, n_steps=2 * params.n_steps)
-    field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
-    for _ in range(5):
-        step(field, graph, params, policy)
-    before = field_state(field)
-    with pytest.raises(ValueError, match=r"^field at time level 5 holds histories "):
-        step(field, graph, longer, other)
-    assert field_state(field) == before
+        SpinorField(g, params, policy)
 
 
 @pytest.mark.parametrize("make_copy", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
@@ -764,7 +654,7 @@ def test_copy_module_makes_the_copy_method_makes(make_copy):
         twin, alone = make_copy(field), field.copy()
         for _ in range(10):
             for f in (field, twin, alone):
-                step(f, graph, params, policy)
+                step(f)
         for f in (field, twin):
             assert f.time_level == 10
             for a, b in zip(f.phi + f.chi, alone.phi + alone.chi):
@@ -777,11 +667,11 @@ def test_copied_field_steps_on_its_own():
         policy = make_policy()
         field = build_initial_field(graph, params, policy, x0=-1.0, sigma=0.2)
         for _ in range(20):
-            field = step(field, graph, params, policy)
+            field = step(field)
         twin = field.copy()
         for _ in range(40):
-            field = step(field, graph, params, policy)
-            twin = step(twin, graph, params, policy)
+            field = step(field)
+            twin = step(twin)
         for a, b in zip(field.phi + field.chi, twin.phi + twin.chi):
             assert np.array_equal(a, b)
         for key, h in twin.histories.items():
@@ -896,18 +786,16 @@ def test_run_matches_a_loop_of_in_place_steps(name):
 
 
 def test_a_field_from_run_steps_every_slot():
-    # run's window lives on a plan keyed to run's own params, so a step on
-    # the field it returns plans again: a value written far beyond that
-    # window is stepped, as on a copy
+    # run clears its window after its last step, so a step on the field it
+    # returns covers every slot: a value written far beyond that window is
+    # stepped, as on a copy
     config = replace(load_config(CONFIG_DIR / "transparent_star.cfg"),
                      n_steps=20, snapshot_times=())
     result = run(config)
     field, twin = result.field, result.field.copy()
     for f in (field, twin):
         f.phi[-1][-10] = 1.0 - 2.0j
-    graph, params = result.graph, config.sim_params()
-    policy = config.build_policy()
-    new, new_twin = (step(f, graph, params, policy) for f in (field, twin))
+    new, new_twin = (step(f) for f in (field, twin))
     assert new.phi_buf.tobytes() == new_twin.phi_buf.tobytes()
     assert new.chi_buf.tobytes() == new_twin.chi_buf.tobytes()
     assert new.phi[-1][-10] != 0.0 and new.chi[-1][-10] != 0.0

@@ -41,7 +41,7 @@ def weighted_fields(alphas, mass, courant):
                                 normalize=False)
     yield field
     for _ in range(STEPS):
-        field = step(field, graph, params, policy)
+        field = step(field)
         yield field
 
 
