@@ -71,6 +71,15 @@ def vertex_tbc_factor(alphas: Sequence[float]) -> float:
     return a[0] ** 2 * sum(1.0 / v ** 2 for v in a[1:])
 
 
+def check_end_mode(vertex_mode: VertexMode, bond_index: int, end_mode: EndMode) -> None:
+    """The end-mode rule: a transparent vertex simulates bond 1 only, so a
+    transparent end on another bond would never be read."""
+    if (vertex_mode is VertexMode.TRANSPARENT and end_mode is EndMode.TRANSPARENT
+            and bond_index > 1):
+        raise ValueError(f"bond {bond_index} has a transparent end, which has no "
+                         "effect: a transparent vertex simulates bond 1 only")
+
+
 class BoundaryPolicy:
     """The vertex mode and the end modes of a run.
 
@@ -86,8 +95,11 @@ class BoundaryPolicy:
         self.end_modes = tuple(end_modes)
 
     def validate_for(self, graph: StarGraph) -> None:
+        """One end mode per bond of ``graph``, each by ``check_end_mode``."""
         if len(self.end_modes) != graph.n_bonds:
             raise ValueError(
                 f"policy has {len(self.end_modes)} end modes for "
                 f"{graph.n_bonds} bonds"
             )
+        for j, mode in enumerate(self.end_modes, start=1):
+            check_end_mode(self.vertex_mode, j, mode)

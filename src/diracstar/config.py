@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .boundaries import BoundaryPolicy, EndMode, VertexMode
+from .boundaries import BoundaryPolicy, EndMode, VertexMode, check_end_mode
 from .graph import StarGraph, build_star_graph
 from .solver import SimParams, check_cfl, check_packet, check_source
 
@@ -64,6 +65,8 @@ class SweepSpec:
         """The sweep rule: alpha1 over >= 2 points of a positive, finite range."""
         if self.param != "alpha1":
             raise ValueError(f"unsupported parameter {self.param!r}")
+        if not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"points must be an integer, got {self.points}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
         if not (0 < self.start < math.inf and 0 < self.stop < math.inf):
@@ -116,17 +119,14 @@ class ExperimentConfig:
         vertex = _mode(VertexMode, self.vertex_mode, "boundary", "vertex_mode")
         for j, mode in enumerate(ends, start=1):
             end = _mode(EndMode, mode, f"bond {j}", "end_mode")
-            if j > 1 and end is EndMode.TRANSPARENT and vertex is VertexMode.TRANSPARENT:
-                raise ConfigError(
-                    f"[bond {j}] end_mode = transparent has no effect: a "
-                    "transparent vertex simulates bond 1 only"
-                )
+            _checked(f"bond {j}", check_end_mode, vertex, j, end)
         source = _checked("initial", check_source, graph, vertex, self.source_bond)
         _checked("initial", check_packet, self.x0, self.sigma, source)
-        if self.sample_every < 1:
-            raise ConfigError(
-                f"[sampling] sample_every must be >= 1, got {self.sample_every}"
-            )
+        every = self.sample_every
+        if not isinstance(every, numbers.Integral):
+            raise ConfigError(f"[sampling] sample_every must be an integer, got {every}")
+        if every < 1:
+            raise ConfigError(f"[sampling] sample_every must be >= 1, got {every}")
         t_final = self.n_steps * self.dt
         snap_steps: dict[int, float] = {}
         for t, n in zip(self.snapshot_times, self.snapshot_steps()):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
@@ -195,6 +196,8 @@ def check_packet(x0: float, sigma: float, bond: Bond) -> None:
 def check_source(graph: StarGraph, vertex_mode: VertexMode, index: int) -> Bond:
     """The source rule: bond ``index`` of the graph, which the run must
     simulate; a transparent vertex simulates bond 1 only."""
+    if not isinstance(index, numbers.Integral):
+        raise ValueError(f"bond must be an integer, got {index}")
     if not 1 <= index <= graph.n_bonds:
         raise ValueError(f"bond must be in 1..{graph.n_bonds}, got {index}")
     if vertex_mode is VertexMode.TRANSPARENT and index != 1:
@@ -275,7 +278,7 @@ def build_initial_field(
     if normalize:
         from .diagnostics import total_norm
 
-        if (total := total_norm(field, params)) > 0:
+        if (total := total_norm(field)) > 0:
             field._state *= 1.0 / np.sqrt(total)
 
     field.initial_max = field.max_abs()
@@ -480,12 +483,13 @@ def step(field: SpinorField) -> SpinorField:
     for k in plan.pads:
         chi[k] = 0.0
     field.time_level = level + 1
-    _check_stability(field, plan.params)
+    _check_stability(field)
     return field
 
 
-def _check_stability(field: SpinorField, params: SimParams) -> None:
-    """Raise InstabilityError iff ``not field.max_abs() <= limit``.
+def _check_stability(field: SpinorField) -> None:
+    """Raise InstabilityError iff ``not field.max_abs() <= limit``, the
+    limit set by ``field.initial_max`` and the report's dt/dx by its plan.
 
     max |z| <= ||a||_2, so a 2-norm of at most half the limit (the half
     absorbs the dot's rounding) clears the step; one dot covers phi, chi
@@ -502,11 +506,11 @@ def _check_stability(field: SpinorField, params: SimParams) -> None:
             return
     peak = field.max_abs()
     if not peak <= limit:  # true for NaN and inf too
-        raise InstabilityError(_instability_report(field, params, peak))
+        raise InstabilityError(_instability_report(field, peak))
 
 
-def _instability_report(field: SpinorField, params: SimParams, peak: float) -> str:
-    """Name the step, the location and class of the peak, and dt/dx."""
+def _instability_report(field: SpinorField, peak: float) -> str:
+    """Name the step, the location and class of the peak, and the plan's dt/dx."""
     # the first peak in phi, bond after bond, then chi: the arena's order
     mag = np.abs(field._state)
     mag[np.isnan(mag)] = np.inf
@@ -523,17 +527,11 @@ def _instability_report(field: SpinorField, params: SimParams, peak: float) -> s
         where = "end"
     else:
         where = "interior"
-    lam = params.dt / bond.dx
-    place = f"{kind} {k} of bond {bond.index} ({where}); dt/dx = {lam:g}"
+    place = f"{kind} {k} of bond {bond.index} ({where}); dt/dx = {field._plan.lam:g}"
     if not np.isfinite(peak):
-        return (
-            f"non-finite field value at step {field.time_level}, "
-            f"first at {place}"
-        )
-    return (
-        f"field grew to {peak:.3e} at step {field.time_level} "
-        f"({peak / field.initial_max:.1e} x initial), peak at {place}"
-    )
+        return f"non-finite field value at step {field.time_level}, first at {place}"
+    return (f"field grew to {peak:.3e} at step {field.time_level} "
+            f"({peak / field.initial_max:.1e} x initial), peak at {place}")
 
 
 @dataclass(frozen=True)
@@ -577,37 +575,23 @@ def run(config: "ExperimentConfig", policy: BoundaryPolicy | None = None) -> Run
     params = config.sim_params()
     policy = policy or config.build_policy()
     field = build_initial_field(
-        graph,
-        params,
-        policy,
-        x0=config.x0,
-        sigma=config.sigma,
-        bond_index=config.source_bond,
-        amplitude=config.amplitude,
+        graph, params, policy, x0=config.x0, sigma=config.sigma,
+        bond_index=config.source_bond, amplitude=config.amplitude,
         normalize=config.normalize_initial,
     )
-
     snap_steps = set(config.snapshot_steps())
-
     records = []
     snapshots: list[Snapshot] = []
-
-    def observe(n: int) -> None:
-        if n % config.sample_every == 0 or n == params.n_steps:
-            records.append(compute_record(field, params, n * params.dt))
-        if n in snap_steps:
-            for j, bond in enumerate(field.bonds):
-                x, phi, chi, dens = node_profile(field, j + 1, params)
-                snapshots.append(
-                    Snapshot(bond.index, n * params.dt, x, phi, chi, dens)
-                )
-
     # only the packet's bond and the junctions hold values that are not +0
     plan = field._plan
     plan.start = max(field._cuts[config.source_bond - 1][0].stop, plan.reach)
-    observe(0)
-    for n in range(1, params.n_steps + 1):
-        step(field)
-        observe(n)
+    for n in range(params.n_steps + 1):
+        if n:
+            step(field)
+        if n % config.sample_every == 0 or n == params.n_steps:
+            records.append(compute_record(field))
+        if n in snap_steps:
+            snapshots += [Snapshot(bond.index, n * params.dt, *node_profile(field, j + 1))
+                          for j, bond in enumerate(field.bonds)]
     plan.start = None
     return RunResult(records, snapshots, graph, field)

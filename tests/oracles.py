@@ -435,8 +435,8 @@ def run_loop_reference(config, solver, diagnostics):
         if n:
             solver.step(field)
         if n % config.sample_every == 0 or n == params.n_steps:
-            records.append(diagnostics.compute_record(field, params, n * params.dt))
+            records.append(diagnostics.compute_record(field))
         if n in snap_steps:
-            snapshots += [diagnostics.node_profile(field, j + 1, params)
+            snapshots += [diagnostics.node_profile(field, j + 1)
                           for j in range(field.n_bonds)]
     return records, snapshots, field

@@ -100,11 +100,11 @@ def test_criterion_05_energy_exactness(canonical_config):
     field = build_initial_field(
         graph, params, policy, x0=config.x0, sigma=config.sigma
     )
-    e0 = energy(field, params)
+    e0 = energy(field)
     worst = 0.0
     for _ in range(1000):
         field = step(field)
-        worst = max(worst, abs(energy(field, params) - e0))
+        worst = max(worst, abs(energy(field) - e0))
     assert worst <= 1e-12 * abs(e0)
     report(
         "05 energy exactness",
@@ -133,8 +133,8 @@ def test_criterion_06_interior_exterior_equivalence(canonical_config):
     for n in range(1, 1001):
         f_full, f_int = step(f_full), step(f_int)
         if n % 10 == 0:
-            d_full = node_profile(f_full, 1, p_full)[3]
-            d_int = node_profile(f_int, 1, p_int)[3]
+            d_full = node_profile(f_full, 1)[3]
+            d_int = node_profile(f_int, 1)[3]
             linf = max(linf, float(np.max(np.abs(d_full - d_int))))
     assert linf < 1e-3
     report(
@@ -230,7 +230,7 @@ def _density_samples(graph, params, policy):
     for n in range(1, params.n_steps + 1):
         step(field)
         if n % every == 0:
-            samples.append([node_profile(field, j, params)[::3]
+            samples.append([node_profile(field, j)[::3]
                             for j in range(1, field.n_bonds + 1)])
     return samples
 
@@ -352,13 +352,13 @@ def test_criterion_09_self_adjointness_probe():
     for alphas in ((1.0, 1.0, 1.0), (SUM_RULE_ALPHA1, 1.0, math.sqrt(2.0))):
         psi = impose_vertex_conditions(smooth_field(graph, params, rng), graph, alphas)
         phi = impose_vertex_conditions(smooth_field(graph, params, rng), graph, alphas)
-        scale = math.sqrt(total_norm(psi, params) * total_norm(phi, params))
+        scale = math.sqrt(total_norm(psi) * total_norm(phi))
         worst = max(worst, abs(boundary_form_reference(psi, phi)) / scale)
     assert worst < 1e-10
 
     psi = smooth_field(graph, params, rng)
     phi = smooth_field(graph, params, rng)
-    scale = math.sqrt(total_norm(psi, params) * total_norm(phi, params))
+    scale = math.sqrt(total_norm(psi) * total_norm(phi))
     generic = abs(boundary_form_reference(psi, phi)) / scale
     assert generic > 1e-6
     report(
@@ -382,8 +382,8 @@ def test_criterion_10_second_order_convergence():
         )
         for _ in range(n_steps):
             field = step(field)
-        x1, _, _, d1 = node_profile(field, 1, params)
-        x2, _, _, d2 = node_profile(field, 2, params)
+        x1, _, _, d1 = node_profile(field, 1)
+        x2, _, _, d2 = node_profile(field, 2)
         return np.concatenate([x1, x2[1:]]), np.concatenate([d1, d2[1:]])
 
     phi0 = chi0 = lambda x: gaussian(x, x0, sigma)

@@ -51,6 +51,8 @@ def stars(draw):
     graph = build_star_graph([(a, c * DX, DX) for a, c in zip(alphas, cells)])
     vertex = draw(st.sampled_from(list(VertexMode)))
     ends = tuple(draw(st.lists(st.sampled_from(list(EndMode)), min_size=n, max_size=n)))
+    if vertex is VertexMode.TRANSPARENT:  # bonds 2..N are not simulated
+        ends = ends[:1] + (EndMode.DIRICHLET,) * (n - 1)
     params = SimParams(mass=draw(st.floats(0.0, 5.0)),
                        dt=draw(st.floats(0.1, 1.0)) * DX, n_steps=4)
     return graph, BoundaryPolicy(vertex, ends), params
@@ -72,15 +74,20 @@ def bits(*numbers):
 def test_diagnostics_match_the_per_bond_forms(star, data):
     graph, policy, params = star
     field = random_field(data.draw, graph, params, policy)
-    record = compute_record(field, params, 0.5)
+    # at most 2 steps: each can multiply the largest value by 7, and the
+    # squares must stay finite
+    for _ in range(data.draw(st.integers(1, 2))):
+        solver.step(field)
+    record = compute_record(field)
     partial, total, e, refl = compute_record_reference(field, params)
     assert bits(*record.partial_norms, record.total_norm, record.energy,
                 record.reflection) == bits(*partial, total, e, refl)
-    assert bits(*(partial_norm(field, j + 1, params) for j in range(field.n_bonds))) \
+    assert bits(record.t) == bits(field.time_level * params.dt)
+    assert bits(*(partial_norm(field, j + 1) for j in range(field.n_bonds))) \
         == bits(*(partial_norm_reference(field, j + 1, params)
                   for j in range(field.n_bonds)))
-    assert bits(total_norm(field, params)) == bits(sum(partial))
-    assert bits(energy(field, params)) == bits(energy_reference(field, params))
+    assert bits(total_norm(field)) == bits(sum(partial))
+    assert bits(energy(field)) == bits(energy_reference(field, params))
 
 
 @settings(max_examples=80, deadline=None)

@@ -226,6 +226,8 @@ def test_transparent_vertex_requires_bond_one_source(tmp_path):
         ("weighted", 4, "bond must be in 1..3, got 4"),
         ("transparent", 4, "bond must be in 1..3, got 4"),
         ("transparent", 2, "a transparent vertex simulates bond 1 only, got bond 2"),
+        ("transparent", 1.0, "bond must be an integer, got 1.0"),
+        ("weighted", 1.5, "bond must be an integer, got 1.5"),
     ],
 )
 def test_source_bond_rule_shared_with_library(vertex_mode, bond, cause):
@@ -238,6 +240,20 @@ def test_source_bond_rule_shared_with_library(vertex_mode, bond, cause):
     with pytest.raises(ValueError, match=f"^{cause}$"):
         build_initial_field(cfg.build_graph(), cfg.sim_params(), cfg.build_policy(),
                             x0=cfg.x0, sigma=cfg.sigma, bond_index=bond)
+
+
+@pytest.mark.parametrize("every, cause", [
+    (0, "sample_every must be >= 1, got 0"),
+    (2.5, "sample_every must be an integer, got 2.5"),
+])
+def test_sample_every_rule(every, cause):
+    # a fractional cadence recorded at the multiples of 5 of a 10-step run
+    cfg = replace(load_config(CONFIG_DIR / "transparent_star.cfg"),
+                  sample_every=every, n_steps=10, snapshot_times=())
+    with pytest.raises(ConfigError, match=rf"^\[sampling\] {cause}$"):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=rf"^\[sampling\] {cause}$"):
+        run(cfg)
 
 
 def test_transparent_vertex_rejects_unread_end_modes():

@@ -44,8 +44,8 @@ def test_partial_norm_zero_field():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.01, dt=0.04, n_steps=1)
     field = zero_field(g, params)
-    assert partial_norm(field, 1, params) == 0.0
-    assert total_norm(field, params) == 0.0
+    assert partial_norm(field, 1) == 0.0
+    assert total_norm(field) == 0.0
 
 
 def test_normalized_initial_condition_norms():
@@ -53,10 +53,10 @@ def test_normalized_initial_condition_norms():
     params = SimParams(mass=0.01, dt=0.01, n_steps=1)
     policy = BoundaryPolicy(VertexMode.WEIGHTED, (EndMode.DIRICHLET,) * 3)
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
-    n = [partial_norm(field, j, params) for j in (1, 2, 3)]
+    n = [partial_norm(field, j) for j in (1, 2, 3)]
     assert n[0] == pytest.approx(1.0, abs=1e-8)
     assert n[1] + n[2] < 1e-8
-    assert total_norm(field, params) == pytest.approx(1.0, rel=1e-12)
+    assert total_norm(field) == pytest.approx(1.0, rel=1e-12)
 
 
 # ----------------------------------------------------- reflection / fractions
@@ -72,12 +72,12 @@ def test_reflection_examples():
     field = zero_field(g, params)
     for arr in field.phi + field.chi:
         arr[:] = rng.standard_normal(arr.shape) + 1j * rng.standard_normal(arr.shape)
-    want = partial_norm(field, 1, params) / total_norm(field, params)
-    assert compute_record(field, params, 0.0).reflection == want
+    want = partial_norm(field, 1) / total_norm(field)
+    assert compute_record(field).reflection == want
     for arr in field.phi[1:] + field.chi[1:]:
         arr[:] = 0.0
-    assert compute_record(field, params, 0.0).reflection == 1.0
-    zero = compute_record(zero_field(g, params), params, 0.0)
+    assert compute_record(field).reflection == 1.0
+    zero = compute_record(zero_field(g, params))
     assert zero.reflection == 0.0
     with pytest.raises(ValueError, match="zero total norm"):
         transmitted_fractions(zero)
@@ -114,7 +114,7 @@ def test_four_bond_equal_weights_split_equally():
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
     for _ in range(1000):
         field = step(field)
-    rec = compute_record(field, params, 10.0)
+    rec = compute_record(field)
     assert rec.reflection < 0.01
     fractions = transmitted_fractions(rec)
     assert fractions == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
@@ -126,7 +126,7 @@ def test_four_bond_equal_weights_split_equally():
 def test_energy_zero_field():
     g = canonical_graph(length=1.0, dx=0.05)
     params = SimParams(mass=0.01, dt=0.04, n_steps=1)
-    assert energy(zero_field(g, params), params) == 0.0
+    assert energy(zero_field(g, params)) == 0.0
 
 
 def test_energy_without_chi_is_phi_norm():
@@ -139,7 +139,7 @@ def test_energy_without_chi_is_phi_norm():
         p[:] = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
         p2 = np.abs(p) ** 2
         expected += g.dx * (p2.sum() - 0.5 * (p2[0] + p2[-1]))
-    assert energy(field, params) == expected
+    assert energy(field) == expected
 
 
 def test_energy_invariant_under_global_phase():
@@ -157,8 +157,8 @@ def test_energy_invariant_under_global_phase():
         p *= phase
     for c in rotated.chi:
         c *= phase
-    assert energy(rotated, params) == pytest.approx(
-        energy(field, params), rel=1e-12
+    assert energy(rotated) == pytest.approx(
+        energy(field), rel=1e-12
     )
 
 
@@ -213,7 +213,7 @@ def test_boundary_form_vanishes_for_coupled_fields(mode_alphas):
     psi = impose_vertex_conditions(smooth_field(g, params, rng), g, alphas)
     phi = impose_vertex_conditions(smooth_field(g, params, rng), g, alphas)
     omega = boundary_form_reference(psi, phi)
-    scale = np.sqrt(total_norm(psi, params) * total_norm(phi, params))
+    scale = np.sqrt(total_norm(psi) * total_norm(phi))
     assert abs(omega) < 1e-10 * scale
 
 
@@ -224,7 +224,7 @@ def test_boundary_form_nonzero_for_random_fields():
     psi = smooth_field(g, params, rng)
     phi = smooth_field(g, params, rng)
     omega = boundary_form_reference(psi, phi)
-    scale = np.sqrt(total_norm(psi, params) * total_norm(phi, params))
+    scale = np.sqrt(total_norm(psi) * total_norm(phi))
     assert abs(omega) > 1e-6 * scale
 
 

@@ -180,6 +180,7 @@ def test_artifact_writer_is_all_or_nothing(tmp_path):
 
 @pytest.mark.parametrize("start, stop, points, cause", [
     (0.4, 1.4, 1, "points must be >= 2, got 1"),
+    (0.4, 1.4, 2.5, "points must be an integer, got 2.5"),
     (-0.4, 1.4, 3, "alpha range must be positive"),
     (0.4, 0.0, 3, "alpha range must be positive"),
 ])

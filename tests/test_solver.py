@@ -116,7 +116,7 @@ def test_gaussian_continuum_norm_is_two():
     field = build_initial_field(
         g, params, policy, x0=-20.0, sigma=0.9, normalize=False
     )
-    assert total_norm(field, params) == pytest.approx(2.0, abs=1e-6)
+    assert total_norm(field) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_normalization_flag():
@@ -126,7 +126,7 @@ def test_normalization_flag():
         g, params, dirichlet_policy(g, VertexMode.WEIGHTED),
         x0=-5.0, sigma=0.9, normalize=True,
     )
-    assert total_norm(field, params) == pytest.approx(1.0, rel=1e-12)
+    assert total_norm(field) == pytest.approx(1.0, rel=1e-12)
 
 
 # ------------------------------------------------------------------- stepping
@@ -186,7 +186,7 @@ def test_massless_transport_on_line():
                                 normalize=False)
     for _ in range(300):
         field = step(field)
-    x1, _, _, d1 = node_profile(field, 1, params)
+    x1, _, _, d1 = node_profile(field, 1)
     expected = 2.0 * gaussian(x1, -2.0, 0.9) ** 2
     assert np.max(np.abs(d1 - expected)) < 1e-2
 
@@ -196,9 +196,9 @@ def test_one_step_energy_exact():
     params = SimParams(mass=0.01, dt=0.01, n_steps=1)
     policy = dirichlet_policy(g, VertexMode.WEIGHTED)
     field = build_initial_field(g, params, policy, x0=-5.0, sigma=0.9)
-    e0 = energy(field, params)
+    e0 = energy(field)
     field = step(field)
-    assert energy(field, params) == pytest.approx(e0, rel=1e-14)
+    assert energy(field) == pytest.approx(e0, rel=1e-14)
 
 
 @pytest.mark.parametrize("mode", [VertexMode.KIRCHHOFF, VertexMode.WEIGHTED])
@@ -207,11 +207,11 @@ def test_energy_exactly_conserved_closed_system(mode):
     params = SimParams(mass=0.05, dt=0.02, n_steps=250)
     policy = dirichlet_policy(g, mode)
     field = build_initial_field(g, params, policy, x0=-2.5, sigma=0.4)
-    e0 = energy(field, params)
+    e0 = energy(field)
     worst = 0.0
     for _ in range(250):
         field = step(field)
-        worst = max(worst, abs(energy(field, params) - e0))
+        worst = max(worst, abs(energy(field) - e0))
     assert worst <= 1e-12 * abs(e0)
 
 
@@ -220,11 +220,11 @@ def test_norm_drift_small_closed_system():
     params = SimParams(mass=0.05, dt=0.02, n_steps=1000)
     policy = dirichlet_policy(g, VertexMode.WEIGHTED)
     field = build_initial_field(g, params, policy, x0=-2.5, sigma=0.4)
-    n0 = total_norm(field, params)
+    n0 = total_norm(field)
     worst = 0.0
     for _ in range(1000):
         field = step(field)
-        worst = max(worst, abs(total_norm(field, params) - n0))
+        worst = max(worst, abs(total_norm(field) - n0))
     assert worst < 1e-3 * n0
 
 
@@ -280,7 +280,7 @@ def test_instability_names_step_bond_and_node_class():
     bad = field.copy()
     bad.phi[1][-1] = np.nan
     with pytest.raises(InstabilityError) as err:
-        _check_stability(bad, params)
+        _check_stability(bad)
     msg = str(err.value)
     assert "non-finite" in msg and "step 7" in msg
     assert f"phi node {g.bonds[1].cells} of bond 2 (end)" in msg
@@ -289,12 +289,12 @@ def test_instability_names_step_bond_and_node_class():
     bad = field.copy()
     bad.phi[0][-1] = 2 * OVERFLOW_FACTOR * field.initial_max
     with pytest.raises(InstabilityError) as err:
-        _check_stability(bad, params)
+        _check_stability(bad)
     msg = str(err.value)
     assert "grew" in msg and "step 7" in msg
     assert f"phi node {g.bonds[0].cells} of bond 1 (vertex)" in msg
     assert "dt/dx = 0.8" in msg
-    _check_stability(field, params)
+    _check_stability(field)
 
 
 @pytest.mark.parametrize("component", ["phi", "chi"])
@@ -319,11 +319,11 @@ def test_guard_verdicts_and_messages_on_either_row(component):
         bad = field.copy()
         getattr(bad, component)[1][10] = value
         with pytest.raises(InstabilityError) as err:
-            _check_stability(bad, params)
+            _check_stability(bad)
         assert str(err.value) == message
     ok = field.copy()
     getattr(ok, component)[1][10] = np.nextafter(limit, 0.0)
-    _check_stability(ok, params)
+    _check_stability(ok)
 
 
 def _guard_plants(limit):
@@ -367,9 +367,9 @@ def test_guard_raises_iff_peak_exceeds_limit(data):
     field.initial_max = initial_max
     if not field.max_abs() <= limit:
         with pytest.raises(InstabilityError):
-            _check_stability(field, params)
+            _check_stability(field)
     else:
-        _check_stability(field, params)
+        _check_stability(field)
 
 
 def test_guard_skips_exact_peak_on_a_healthy_run(canonical_config, monkeypatch):
@@ -473,9 +473,13 @@ def test_a_field_checks_the_policy_against_the_graph():
         SpinorField(g, params, short)
     with pytest.raises(ValueError, match="policy has 2 end modes for 3 bonds"):
         build_initial_field(g, params, short, x0=-5.0, sigma=0.9)
-    # a transparent vertex simulates bond 1 alone
+    # a transparent vertex simulates bond 1 alone, and rejects the far-end
+    # modes of bonds 2..N, which nothing would read, by the config's rule
     policy = BoundaryPolicy(VertexMode.TRANSPARENT, (EndMode.DIRICHLET,) * 3)
     assert SpinorField(g, params, policy).bonds == g.bonds[:1]
+    unread = BoundaryPolicy(VertexMode.TRANSPARENT, (EndMode.TRANSPARENT,) * 3)
+    with pytest.raises(ValueError, match="bond 2.*bond 1 only"):
+        SpinorField(g, params, unread)
 
 
 def test_initial_field_takes_one_peak(monkeypatch):
